@@ -24,7 +24,6 @@ from .sampling import (
     simulate,
 )
 from .zn_core import (
-    DivisorSpec,
     IndexSet,
     ModulusContext,
     bracelet,
@@ -39,11 +38,24 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _index_set(N: int, text: str) -> IndexSet:
+    """A comma list of members of Z_N, each already in [0, N)."""
+    if N < 1:
+        raise ValueError(f"modulus must be positive, got {N}")
+    members = _int_list(text)
+    outside = [m for m in members if not 0 <= m < N]
+    if outside:
+        raise ValueError(f"members {outside} lie outside [0, {N})")
+    return IndexSet.of(N, members)
+
+
 def _k_values(text: str) -> tuple[int, ...]:
-    """Either a comma list '0,3,7' or an inclusive range '0..128'."""
+    """Either a comma list '0,3,7' or a nonempty inclusive range '0..128'."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split(".."))
+        if lo > hi:
+            raise ValueError(f"empty range {text}")
+        return tuple(range(lo, hi + 1))
     return _int_list(text)
 
 
@@ -61,31 +73,18 @@ def _emit(obj: dict, fmt: str) -> None:
         print(json.dumps(obj))
 
 
-def _divisors_to_pivots(ctx: ModulusContext, divisors: tuple[int, ...]) -> PivotSet:
-    spec = DivisorSpec.of(ctx.N, divisors)
-    p = ctx.p
-    cols = []
-    for d in spec.divisors:
-        l = 0
-        while d > 1:
-            d //= p
-            l += 1
-        cols.append(l)
-    return PivotSet.of(cols)
-
-
 def _cmd_zeroset(args) -> int:
     ctx = ModulusContext.of(args.N)
     if args.action == "enumerate":
-        mc = _divisors_to_pivots(ctx, _int_list(args.divisors))
+        mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
         for J in enumerate_solutions(ctx, mc, max_cardinality=args.max_size):
             if args.bracelet_reps and canonical_bracelet_rep(J) != J:
                 continue
             _emit_set(J, args.format)
         return 0
     if args.action == "check":
-        mc = _divisors_to_pivots(ctx, _int_list(args.divisors))
-        J = IndexSet.of(args.N, _int_list(args.set))
+        mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
+        J = _index_set(args.N, args.set)
         check = is_solution(ctx, J, mc)
         _emit(
             {
@@ -99,7 +98,7 @@ def _cmd_zeroset(args) -> int:
             args.format,
         )
         return 0
-    table = from_index_set(ctx, IndexSet.of(args.N, _int_list(args.set)))
+    table = from_index_set(ctx, _index_set(args.N, args.set))
     _emit({"p": table.p, "M": table.M, "rows": [list(r) for r in table.rows]}, args.format)
     return 0
 
@@ -107,14 +106,14 @@ def _cmd_zeroset(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.action == "solve":
         mode = {"exact": "exact-zero-set", "at-least": "vanish-at-least"}[args.mode]
-        zeros = IndexSet.of(args.N, _int_list(args.zeros))
+        zeros = _index_set(args.N, args.zeros)
         for J in brute_force_solutions(
             args.N, zeros, mode, args.max_size, args.override_guard
         ):
             _emit_set(J, args.format)
         return 0
     ctx = ModulusContext.of(args.N)
-    mc = _divisors_to_pivots(ctx, _int_list(args.divisors))
+    mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
     report = compare_with_theorem(ctx, mc, args.max_size, args.override_guard)
     _emit(
         {
@@ -155,7 +154,7 @@ def _cmd_sampling(args) -> int:
             args.format,
         )
         return 0
-    pattern = SamplingPattern(args.N, IndexSet.of(args.N, _int_list(args.J)))
+    pattern = SamplingPattern(args.N, _index_set(args.N, args.J))
     sim = DiscreteSimulation(oversampling=args.oversample, seed=args.seed)
     report = simulate(F, pattern, sim)
     _emit(
@@ -171,17 +170,17 @@ def _cmd_sampling(args) -> int:
 
 def _cmd_fuglede(args) -> int:
     if args.action == "tiles":
-        J = IndexSet.of(args.N, _int_list(args.J))
-        K = IndexSet.of(args.N, _int_list(args.K))
+        J = _index_set(args.N, args.J)
+        K = _index_set(args.N, args.K)
         _emit({"tiles": tiles(J, K)}, args.format)
         return 0
     if args.action == "partners":
-        J = IndexSet.of(args.N, _int_list(args.J))
+        J = _index_set(args.N, args.J)
         for K in find_tiling_partners(J, args.max_results):
             _emit_set(K, args.format)
         return 0
     if args.action == "spectral":
-        J = IndexSet.of(args.N, _int_list(args.J))
+        J = _index_set(args.N, args.J)
         result = is_spectral(J)
         _emit(
             {
@@ -192,7 +191,7 @@ def _cmd_fuglede(args) -> int:
         )
         return 0
     ctx = ModulusContext.of(args.N)
-    report = fuglede_report(ctx, args.max_size, args.bracelet_filter, args.jobs)
+    report = fuglede_report(ctx, args.max_size)
     _emit(
         {
             "N": report.modulus,
@@ -216,7 +215,7 @@ def _cmd_fuglede(args) -> int:
 
 
 def _cmd_bracelet(args) -> int:
-    s = IndexSet.of(args.N, _int_list(args.set))
+    s = _index_set(args.N, args.set)
     if args.action == "rep":
         _emit_set(canonical_bracelet_rep(s), args.format)
         return 0
@@ -230,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
     common = _common()
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep = fug.add_parser("report", parents=[common])
     rep.add_argument("--N", type=int, required=True)
     rep.add_argument("--max-size", type=int, default=None)
-    rep.add_argument("--bracelet-filter", action="store_true")
     rep.set_defaults(func=_cmd_fuglede)
 
     brc = top.add_parser("bracelet", help="dihedral orbits of index sets").add_subparsers(

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import DigitChoiceError, NonPrimePowerError, PreconditionError
-from .zn_core import IndexSet, ModulusContext
+from .zn_core import DivisorSpec, IndexSet, ModulusContext
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,20 @@ class PivotSet:
     @classmethod
     def of(cls, columns) -> "PivotSet":
         return cls(tuple(sorted(set(columns))))
+
+    @classmethod
+    def from_divisors(cls, ctx: ModulusContext, divisors) -> "PivotSet":
+        """Columns l of the proper divisors p^l of a prime-power modulus."""
+        spec = DivisorSpec.of(ctx.N, divisors)
+        p = ctx.p
+        columns = []
+        for d in spec.divisors:
+            l = 0
+            while d > 1:
+                d //= p
+                l += 1
+            columns.append(l)
+        return cls.of(columns)
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -8,19 +8,21 @@ equally-sized row set I has all pairwise differences inside the zero set of
 h_J, which makes the corresponding square DFT submatrix unitary up to scaling.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
-predicates are constant on such classes, which keeps full sweeps tractable
-even at modulus 27.
+predicates are constant on such classes, so each class is decided once, on its
+least mask.  One exact scan over all 2^N masks finds those masks: integer
+residue sums of the low and high bits of each mask are built by doubling, and
+a mask vanishes at a divisor iff its two halves' sums cancel exactly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from .cyclotomic import power_residue_matrix
 from .digit_tables import PivotSet, enumerate_solutions
 from .errors import GuardExceededError, ModulusMismatchError
 from .fourier import idempotent_from_spectrum, zero_set
@@ -51,19 +53,10 @@ def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:
     return zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
 
 
-def _prime_exponent(p: int, d: int) -> int:
-    l = 0
-    while d > 1:
-        d //= p
-        l += 1
-    return l
-
-
 def _partner_candidates(N: int, required: tuple[int, ...], size: int) -> Iterator[IndexSet]:
     ctx = ModulusContext.of(N)
     if ctx.is_prime_power:
-        divisors = {math.gcd(i, N) for i in required}
-        mc = PivotSet.of(_prime_exponent(ctx.p, d) for d in divisors)
+        mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required})
         yield from enumerate_solutions(ctx, mc, max_cardinality=size)
     else:
         from .oracle import brute_force_solutions
@@ -160,95 +153,59 @@ class ClassVerdict:
 class FugledeReport:
     modulus: int
     max_set_size: int
-    bracelet_filtered: bool
+    bracelet_filtered: bool  # always False; kept in the report's JSON shape
     sets_checked: int
     classes: tuple[ClassVerdict, ...]
     disagreements: tuple[ClassVerdict, ...]
 
 
-def _popcounts(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    out = np.zeros(arr.shape, dtype=np.uint32)
-    work = arr.copy()
-    while work.any():
-        out += (work & 1).astype(np.uint32)
-        work >>= 1
-    return out
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
+    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
-def _canonical_chunk(arr: np.ndarray, N: int) -> np.ndarray:
-    """Boolean mask of entries that are the minimum of their dihedral orbit."""
-    full = np.uint64((1 << N) - 1)
-    rev = np.zeros_like(arr)
-    for i in range(N):
-        rev |= ((arr >> np.uint64(i)) & np.uint64(1)) << np.uint64((N - i) % N)
-    canon = arr.copy()
-    for base in (arr, rev):
-        for k in range(N):
-            rot = ((base << np.uint64(k)) | (base >> np.uint64(N - k))) & full
-            np.minimum(canon, rot, out=canon)
-    return canon == arr
+def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
+    """Least mask of every (size, divisor flags) class among nonempty sets of
+    at most ``max_size`` members.
 
-
-def _class_reps_vectorized(N: int, max_size: int) -> dict[tuple, int]:
-    """Scan all bracelet-canonical masks, classifying by (size, divisor flags)."""
-    from .cyclotomic import power_residue_matrix
-
-    R = power_residue_matrix(N).astype(np.float64)
+    Masks split into low and high bits.  At each proper divisor d, the exact
+    residue sums of all low subsets and of the negated high subsets get common
+    integer ids, so a mask vanishes at d iff its low id equals its high id.
+    """
+    R = power_residue_matrix(N)
     divisors = proper_divisors(N)
-    div_mats = [R[(np.arange(N) * d) % N] for d in divisors]
-    reps: dict[tuple, int] = {}
-    chunk = 1 << 22
-    shifts = np.arange(N, dtype=np.uint64)
-    for lo in range(1, 1 << N, chunk):
-        arr = np.arange(lo, min(lo + chunk, 1 << N), dtype=np.uint64)
-        arr = arr[_canonical_chunk(arr, N)]
-        if not len(arr):
-            continue
-        sizes = _popcounts(arr)
-        arr = arr[sizes <= max_size]
-        sizes = sizes[sizes <= max_size]
-        bits = ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-        flags = [(bits @ mat == 0).all(axis=1) for mat in div_mats]
-        for i in range(len(arr)):
-            key = (int(sizes[i]), tuple(bool(f[i]) for f in flags))
-            reps.setdefault(key, int(arr[i]))
-    return reps
-
-
-def _class_reps_python(N: int, max_size: int, bracelet_filter: bool) -> dict[tuple, int]:
-    from .oracle import _vanish_masks
-
-    divisors = proper_divisors(N)
-    vanish = [_vanish_masks(N, d) for d in divisors]
-    full = (1 << N) - 1
-    reps: dict[tuple, int] = {}
-    count = 0
-    for mask in range(1, 1 << N):
-        size = mask.bit_count()
-        if size > max_size:
-            continue
-        if bracelet_filter and not _is_canonical_mask(mask, N, full):
-            continue
-        key = (size, tuple(bool(v[mask]) for v in vanish))
-        reps.setdefault(key, mask)
-        count += 1
-    reps["__count__"] = count  # type: ignore[index]
-    return reps
-
-
-def _is_canonical_mask(mask: int, N: int, full: int) -> bool:
-    rev = 0
-    for i in range(N):
-        if mask >> i & 1:
-            rev |= 1 << ((N - i) % N)
-    for base in (mask, rev):
-        for k in range(N):
-            rot = ((base << k) | (base >> (N - k))) & full
-            if rot < mask:
-                return False
-    return True
+    low_bits = min(N, 16)
+    n_low = 1 << low_bits
+    low_ids, high_ids = [], []
+    for d in divisors:
+        rows = R[(np.arange(N) * d) % N]
+        sums = np.concatenate([_subset_sums(rows[:low_bits]), -_subset_sums(rows[low_bits:])])
+        rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
+        _, ids = np.unique(rows_as_bytes, return_inverse=True)
+        low_ids.append(ids[:n_low])
+        high_ids.append(ids[n_low:])
+    low_sizes = _subset_sums(np.ones(low_bits, dtype=np.int64))
+    high_sizes = _subset_sums(np.ones(N - low_bits, dtype=np.int64))
+    n_keys = 256 << len(divisors)
+    seen = np.zeros(n_keys, dtype=bool)
+    reps: dict[int, int] = {}
+    for high in range(1 << (N - low_bits)):
+        keys = low_sizes + high_sizes[high]
+        for i, (lo, hi) in enumerate(zip(low_ids, high_ids)):
+            keys |= (lo == hi[high]).astype(np.int64) << (8 + i)
+        # Masks grow with ``high``, so a key's first chunk holds its least mask.
+        new = np.flatnonzero(np.bincount(keys, minlength=n_keys).astype(bool) & ~seen)
+        seen[new] = True
+        for key in new.tolist():
+            if 0 < key & 255 <= max_size:
+                reps[key] = high << low_bits | int(np.argmax(keys == key))
+    return {
+        (key & 255, tuple(bool(key >> (8 + i) & 1) for i in range(len(divisors)))): mask
+        for key, mask in reps.items()
+    }
 
 
 def _check_class(ctx: ModulusContext, size: int, flags: tuple, rep_mask: int) -> ClassVerdict:
@@ -274,17 +231,12 @@ def _check_class(ctx: ModulusContext, size: int, flags: tuple, rep_mask: int) ->
     return ClassVerdict(size, D, spectral, partner is not None, rep, witness, partner)
 
 
-def fuglede_report(
-    ctx: ModulusContext,
-    max_set_size: int | None = None,
-    bracelet_filter: bool = False,
-    jobs: int = 1,
-) -> FugledeReport:
+def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> FugledeReport:
     """Exhaustively compare spectrality and tiling over all nonempty sets.
 
     Sets are grouped into (size, zero-set divisors) classes, on which both
-    predicates are constant; each class is decided once.  For prime-power N
-    the expected disagreement list is empty.
+    predicates are constant; each class is decided once, on its least mask.
+    For prime-power N the expected disagreement list is empty.
     """
     N = ctx.N
     if not ctx.is_prime_power:
@@ -293,23 +245,10 @@ def fuglede_report(
         raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
     if max_set_size is None:
         max_set_size = N
-    if N > 20:
-        if not bracelet_filter:
-            raise GuardExceededError(f"N={N} requires bracelet_filter=True")
-        reps = _class_reps_vectorized(N, max_set_size)
-        sets_checked = -1
-    else:
-        reps = _class_reps_python(N, max_set_size, bracelet_filter)
-        sets_checked = reps.pop("__count__")  # type: ignore[arg-type]
-    items = sorted(reps.items())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(
-                pool.map(lambda kv: _check_class(ctx, kv[0][0], kv[0][1], kv[1]), items)
-            )
-    else:
-        verdicts = [_check_class(ctx, key[0], key[1], mask) for key, mask in items]
-    disagreements = tuple(v for v in verdicts if not v.agrees)
-    return FugledeReport(
-        N, max_set_size, bracelet_filter, sets_checked, tuple(verdicts), disagreements
+    sets_checked = sum(math.comb(N, k) for k in range(1, max_set_size + 1))
+    verdicts = tuple(
+        _check_class(ctx, size, flags, mask)
+        for (size, flags), mask in sorted(_class_reps(N, max_set_size).items())
     )
+    disagreements = tuple(v for v in verdicts if not v.agrees)
+    return FugledeReport(N, max_set_size, False, sets_checked, verdicts, disagreements)

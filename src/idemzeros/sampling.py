@@ -97,8 +97,7 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
     ctx = ModulusContext.of(N)
     use_tables = strategy == "digit-tables" or (strategy == "auto" and ctx.is_prime_power)
     if use_tables:
-        divisors = {math.gcd(i, N) for i in required.members}
-        mc = PivotSet.of(_prime_exponent(ctx, d) for d in divisors)
+        mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required.members})
         candidates = [J for J in enumerate_solutions(ctx, mc) if J.members]
     else:
         candidates = [
@@ -108,14 +107,6 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
         raise PreconditionError(f"no nonempty pattern vanishes on {required.members}")
     best = min(candidates, key=lambda J: (len(J), J.members))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))
-
-
-def _prime_exponent(ctx: ModulusContext, d: int) -> int:
-    l = 0
-    while d > 1:
-        d //= ctx.p
-        l += 1
-    return l
 
 
 def _fragment_bins(F: FragmentSet, R: int) -> np.ndarray:

@@ -162,7 +162,7 @@ def test_criterion_8_fuglede_desk_scale(capsys):
         for N in (4, 8, 9):
             assert fuglede_report(ModulusContext.of(N)).disagreements == ()
         for N in (16, 27):
-            rep = fuglede_report(ModulusContext.of(N), bracelet_filter=True, jobs=4)
+            rep = fuglede_report(ModulusContext.of(N))
             assert rep.disagreements == ()
         assert time.monotonic() - start < 600
 

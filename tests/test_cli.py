@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -109,6 +111,22 @@ def test_domain_error_exit_1():
     proc = run_cli("zeroset", "enumerate", "--N", "8", "--divisors", "3")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["code"] == "invalid-divisor"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bracelet", "rep", "--N", "0", "--set", "1"),
+        ("fuglede", "spectral", "--N", "0", "--J", "1"),
+        ("oracle", "solve", "--N", "4", "--zeros", "9"),
+        ("ramanujan", "eval", "--q", "4", "--k", "5..2"),
+    ],
+)
+def test_invalid_input_is_an_error_object(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert set(json.loads(proc.stdout)) == {"code", "message"}
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_2():

@@ -17,7 +17,12 @@ from idemzeros.digit_tables import (
     pivot_columns,
     to_index_set,
 )
-from idemzeros.errors import DigitChoiceError, NonPrimePowerError, PreconditionError
+from idemzeros.errors import (
+    DigitChoiceError,
+    InvalidDivisorError,
+    NonPrimePowerError,
+    PreconditionError,
+)
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.zn_core import (
     DivisorSpec,
@@ -41,6 +46,16 @@ def test_digit_order_is_little_endian():
     ctx = ModulusContext.of(8)
     table = from_index_set(ctx, IndexSet.of(8, [6]))
     assert table.rows == ((0, 1, 1),)
+
+
+def test_pivots_from_divisors():
+    ctx = ModulusContext.of(27)
+    assert PivotSet.from_divisors(ctx, (9, 1, 3)) == PivotSet.of((0, 1, 2))
+    assert PivotSet.from_divisors(ctx, ()) == PivotSet.of(())
+    with pytest.raises(InvalidDivisorError):
+        PivotSet.from_divisors(ctx, (2,))
+    with pytest.raises(NonPrimePowerError):
+        PivotSet.from_divisors(ModulusContext.of(12), ())
 
 
 def test_pivot_columns_examples():

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from idemzeros.fuglede import (
     is_spectral,
     tiles,
 )
-from idemzeros.zn_core import IndexSet, ModulusContext, bracelet, translate
+from idemzeros.fourier import idempotent_from_spectrum, zero_set
+from idemzeros.zn_core import (
+    IndexSet,
+    ModulusContext,
+    bracelet,
+    proper_divisors,
+    translate,
+)
 
 
 def test_tiles_basics():
@@ -81,8 +89,6 @@ def test_spectral_bracelet_invariance():
 def test_tiling_iff_joint_zero_cover():
     # the support-level criterion used by the report path must match tiles()
     rng = random.Random(61)
-    from idemzeros.fourier import idempotent_from_spectrum, zero_set
-
     for _ in range(100):
         N = rng.choice([4, 6, 8, 9])
         J = IndexSet.of(N, rng.sample(range(N), rng.randint(1, N)))
@@ -100,15 +106,31 @@ def test_report_small_moduli():
         assert report.sets_checked == 2**N - 1
 
 
-def test_report_bracelet_filter_same_verdicts():
-    plain = fuglede_report(ModulusContext.of(8))
-    filtered = fuglede_report(ModulusContext.of(8), bracelet_filter=True)
-    unfold = lambda r: {(v.size, v.zero_divisors, v.spectral, v.tiling) for v in r.classes}
-    assert unfold(plain) == unfold(filtered)
+def test_report_reps_are_least_masks_of_their_classes():
+    for N in (8, 9):
+        least = {}
+        for mask in range(1, 1 << N):
+            J = IndexSet.from_mask(N, mask)
+            zeros = zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
+            key = (len(J), tuple(d for d in proper_divisors(N) if d in zeros))
+            least.setdefault(key, mask)
+        report = fuglede_report(ModulusContext.of(N))
+        assert {(v.size, v.zero_divisors): v.representative.mask for v in report.classes} == least
+    # Classes are closed under rotation and reversal, so each least mask is
+    # also least in its bracelet (in mask order, not canonical_bracelet_rep's
+    # member-tuple order).
+    for v in fuglede_report(ModulusContext.of(16)).classes:
+        assert min(K.mask for K in bracelet(v.representative)) == v.representative.mask
+
+
+def test_report_sets_checked_with_size_cap():
+    report = fuglede_report(ModulusContext.of(9), max_set_size=4)
+    assert report.sets_checked == sum(comb(9, k) for k in range(1, 5))
+    assert {v.size for v in report.classes} == {1, 2, 3, 4}
 
 
 def test_report_guards():
     with pytest.raises(GuardExceededError):
         fuglede_report(ModulusContext.of(12))
     with pytest.raises(GuardExceededError):
-        fuglede_report(ModulusContext.of(27), bracelet_filter=False)
+        fuglede_report(ModulusContext.of(49))
