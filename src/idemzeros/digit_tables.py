@@ -7,17 +7,22 @@ Solutions to the zero-set problem for divisors p^mc are exactly the index sets
 whose digit table partitions into disjoint conforming tables with pivot set
 mc_star(mc); this module provides the membership test (with certificate), the
 complete enumerator, and the explicit constructor.
+
+Both the test and the enumerator walk the base-p residue tree one digit at a
+time: a set splits into p fibers by its lowest digit, and each fiber's
+quotient recurses with the pivot columns shifted down by one.  At a pivot
+column the fibers must hold equally many blocks, and the i-th blocks of the p
+fibers join into one block; at any other column the fibers are independent.
+Certificates list their blocks by least member.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DigitChoiceError, NonPrimePowerError, PreconditionError
+from .errors import DigitChoiceError, GuardExceededError, NonPrimePowerError, PreconditionError
 from .zn_core import DivisorSpec, IndexSet, ModulusContext
 
 
@@ -156,41 +161,6 @@ def decompose(t: DigitTable) -> tuple[tuple[int, ...], tuple[ConformingTable, ..
     return prefix, tuple(blocks)
 
 
-@lru_cache(maxsize=None)
-def _conforming_element_sets(p: int, M: int, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All element sets of conforming tables over Z_{p^M} with pivot set exactly
-    ``cols``, each as a sorted member tuple; sorted by member tuple."""
-    if M == 0:
-        return ((0,),) if not cols else ()
-    if not cols:
-        return tuple((x,) for x in range(p**M))
-    l = cols[0]
-    sub = _conforming_element_sets(p, M - l - 1, tuple(c - l - 1 for c in cols[1:]))
-    step = p**l
-    shift = p ** (l + 1)
-    out = []
-    for a in range(step):
-        for combo in itertools.product(sub, repeat=p):
-            out.append(
-                tuple(
-                    sorted(
-                        a + j * step + shift * e
-                        for j, s in enumerate(combo)
-                        for e in s
-                    )
-                )
-            )
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _conforming_block_masks(p: int, M: int, cols: tuple[int, ...]) -> tuple[int, ...]:
-    masks = []
-    for elems in _conforming_element_sets(p, M, cols):
-        masks.append(sum(1 << e for e in elems))
-    return tuple(masks)
-
-
 def generate_conforming(
     ctx: ModulusContext, mcs: PivotSet, choices, prefix: int = 0
 ) -> ConformingTable:
@@ -254,6 +224,10 @@ def _generate_elements(p, M, cols, choices, prefix):
     return out
 
 
+# Mask bits (masks times N) that enumerate_solutions may build in one call.
+ENUMERATION_GUARD = 1 << 25
+
+
 @dataclass(frozen=True)
 class SolutionCheck:
     ok: bool
@@ -265,96 +239,119 @@ def is_solution(ctx: ModulusContext, J: IndexSet, mc: PivotSet) -> SolutionCheck
 
     True iff the rows of J's digit table partition into disjoint conforming
     tables, each with pivot set mc_star(mc); the certificate is one such
-    partition.
+    partition, its blocks listed by least member.
     """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
-    star = mc_star(ctx.M, mc)
-    if not J.members:
-        return SolutionCheck(True, ())
-    block_size = ctx.p ** len(mc)
-    if len(J) % block_size != 0:
+    blocks = _split(list(J.members), ctx.p, mc_star(ctx.M, mc).columns)
+    if blocks is None:
         return SolutionCheck(False, None)
-    target = J.mask
-    blocks = [m for m in _conforming_block_masks(ctx.p, ctx.M, star.columns) if m & target == m]
-    by_min: dict[int, list[int]] = {}
-    for m in blocks:
-        by_min.setdefault(_lowest_bit(m), []).append(m)
-    dead: set[int] = set()
-
-    def search(remaining: int, picked: list[int]) -> bool:
-        if remaining == 0:
-            return True
-        if remaining in dead:
-            return False
-        x = _lowest_bit(remaining)
-        for m in by_min.get(x, ()):
-            if m & remaining == m:
-                picked.append(m)
-                if search(remaining & ~m, picked):
-                    return True
-                picked.pop()
-        dead.add(remaining)
-        return False
-
-    picked: list[int] = []
-    if search(target, picked):
-        cert = tuple(IndexSet.from_mask(ctx.N, m) for m in picked)
-        return SolutionCheck(True, cert)
-    return SolutionCheck(False, None)
+    return SolutionCheck(True, tuple(IndexSet(ctx.N, tuple(b)) for b in blocks))
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]] | None:
+    """Partition the sorted ``members`` into conforming blocks with pivot set
+    ``cols``, listed by least member; None when no such partition exists.
 
-
-def _solution_masks(ctx: ModulusContext, mc: PivotSet, max_cardinality: int) -> list[int]:
-    """All masks of disjoint unions of conforming blocks with pivot set mc_star(mc).
-
-    DFS over unions with strictly increasing block minima; a state is revisited
-    only when reached with a smaller anchor, which guarantees completeness
-    while emitting each union once.
+    Taking out any one block leaves the fiber counts equal, so the blocks of
+    each fiber can be joined in any order and the split never backtracks.
     """
-    star = mc_star(ctx.M, mc)
-    blocks = _conforming_block_masks(ctx.p, ctx.M, star.columns)
-    block_size = ctx.p ** len(mc)
-    ordered = sorted(blocks, key=_lowest_bit)
-    mins = [_lowest_bit(m) for m in ordered]
-    triples = list(zip(ordered, mins, [m.bit_count() for m in ordered]))
-    best_anchor: dict[int, int] = {0: -1}
-    stack = [(0, -1, 0)]
-    while stack:
-        union, anchor, size = stack.pop()
-        if best_anchor[union] < anchor or size + block_size > max_cardinality:
-            continue
-        start = bisect.bisect_right(mins, anchor)
-        for m, lo, sz in triples[start:]:
-            if m & union or size + sz > max_cardinality:
-                continue
-            u2 = union | m
-            prev = best_anchor.get(u2)
-            if prev is not None and prev <= lo:
-                continue
-            best_anchor[u2] = lo
-            stack.append((u2, lo, size + sz))
-    return list(best_anchor)
+    if not members:
+        return []
+    if not cols:
+        return [[x] for x in members]
+    fibers: list[list[int]] = [[] for _ in range(p)]
+    for x in members:
+        fibers[x % p].append(x // p)
+    pivot = cols[0] == 0
+    if pivot and len({len(f) for f in fibers}) > 1:
+        return None
+    rest = tuple(c - 1 for c in (cols[1:] if pivot else cols))
+    subs = [_split(f, p, rest) for f in fibers]
+    if any(sub is None for sub in subs):
+        return None
+    if pivot:
+        return [sorted(p * e + j for j, b in enumerate(row) for e in b) for row in zip(*subs)]
+    blocks = [[p * e + j for e in b] for j, sub in enumerate(subs) for b in sub]
+    return sorted(blocks, key=lambda b: b[0])
 
 
 def enumerate_solutions(
     ctx: ModulusContext, mc: PivotSet, max_cardinality: int | None = None
 ) -> Iterator[IndexSet]:
     """Every solution for divisors p^mc with |J| <= max_cardinality, each once,
-    in lexicographic order of sorted members.  Includes the empty set."""
+    in lexicographic order of sorted members.  Includes the empty set.
+
+    All solutions are built and sorted before the first one is yielded.
+    Raises GuardExceededError, before building them, when their masks would
+    take more than ENUMERATION_GUARD bits.
+    """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
-    if max_cardinality is None:
-        max_cardinality = ctx.N
+    cap = ctx.N if max_cardinality is None else max_cardinality
+    star = mc_star(ctx.M, mc)
     members = sorted(
-        (tuple(i for i in range(ctx.N) if m >> i & 1)
-         for m in _solution_masks(ctx, mc, max_cardinality)),
+        _members(m) for masks in _union_masks(ctx.p, ctx.M, star.columns, cap).values()
+        for m in masks
     )
     for t in members:
         yield IndexSet(ctx.N, t)
+
+
+def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, list[int]]:
+    """Masks of the disjoint unions of conforming blocks with pivot set ``cols``
+    over Z_{p^M} with at most ``cap`` members, keyed by member count.
+
+    The split of ``is_solution`` in reverse, from the highest digit down: the
+    unions on a residue class are the products of its p fibers' unions, each
+    shifted into place, with equal fiber sizes at a pivot column.
+    """
+    N = p**M
+    built = 0
+
+    def join(masks: list[int], fiber: list[int], shift: int) -> list[int]:
+        nonlocal built
+        built += len(masks) * len(fiber)
+        if built * N > ENUMERATION_GUARD:
+            raise GuardExceededError(
+                f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
+                "lower max_cardinality or impose more divisors"
+            )
+        return [m | x << shift for m in masks for x in fiber]
+
+    # a class below the highest digit has one element: it is empty or full
+    by_size = {s: [s] for s in (0, 1) if s <= cap}
+    for col in reversed(range(M)):
+        shifts = [j * p**col for j in range(p)]
+        if col in cols:
+            joined = {}
+            for t, fiber in by_size.items():
+                if p * t <= cap:
+                    masks = [0]
+                    for shift in shifts:
+                        masks = join(masks, fiber, shift)
+                    joined[p * t] = masks
+        else:
+            joined = {0: [0]}
+            for shift in shifts:
+                grown: dict[int, list[int]] = {}
+                for s, masks in joined.items():
+                    for t, fiber in by_size.items():
+                        if s + t <= cap:
+                            grown.setdefault(s + t, []).extend(join(masks, fiber, shift))
+                joined = grown
+        by_size = joined
+    return by_size
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """Set bit positions, ascending; one step per member, not per bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:

@@ -55,6 +55,10 @@ class DiscreteSimulation:
     oversampling: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.oversampling < 1:
+            raise PreconditionError(f"oversampling must be >= 1, got {self.oversampling}")
+
 
 @dataclass(frozen=True)
 class DesignResult:
@@ -98,7 +102,9 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
     use_tables = strategy == "digit-tables" or (strategy == "auto" and ctx.is_prime_power)
     if use_tables:
         mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required.members})
-        candidates = [J for J in enumerate_solutions(ctx, mc) if J.members]
+        # every nonempty solution is a union of blocks of p^|mc| members
+        smallest = ctx.p ** len(mc)
+        candidates = [J for J in enumerate_solutions(ctx, mc, smallest) if J.members]
     else:
         candidates = [
             J for J in brute_force_solutions(N, required, "vanish-at-least") if J.members
@@ -124,6 +130,8 @@ def simulate(
     differences.
     """
     N, R = pattern.modulus, sim.oversampling
+    if not F.fragments:
+        raise PreconditionError("fragment set must be nonempty")
     if N <= max(F.fragments) + 1:
         raise ModulusMismatchError(f"pattern period {N} too small for fragments {F.fragments}")
     if not pattern.offsets.members:

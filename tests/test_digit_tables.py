@@ -7,6 +7,7 @@ from idemzeros.digit_tables import (
     ConformingTable,
     DigitTable,
     PivotSet,
+    SolutionCheck,
     decompose,
     enumerate_solutions,
     from_index_set,
@@ -19,6 +20,7 @@ from idemzeros.digit_tables import (
 )
 from idemzeros.errors import (
     DigitChoiceError,
+    GuardExceededError,
     InvalidDivisorError,
     NonPrimePowerError,
     PreconditionError,
@@ -30,6 +32,7 @@ from idemzeros.zn_core import (
     ModulusContext,
     bracelet,
     expand_zero_spec,
+    translate,
 )
 from idemzeros.digit_tables import singleton_multiset_check
 
@@ -162,15 +165,85 @@ def test_enumeration_soundness():
             assert len(J) % ctx.p ** len(mc) == 0
 
 
+def _pivot_sets(M):
+    return [PivotSet.of(c) for r in range(M + 1) for c in itertools.combinations(range(M), r)]
+
+
 def test_enumeration_matches_membership_test():
-    ctx = ModulusContext.of(9)
-    mc = PivotSet.of([1])
-    enumerated = {J.members for J in enumerate_solutions(ctx, mc)}
-    for members in map(tuple, itertools.chain.from_iterable(
-        itertools.combinations(range(9), k) for k in range(10)
-    )):
-        J = IndexSet(9, members)
-        assert (members in enumerated) == is_solution(ctx, J, mc).ok
+    for N in (8, 9):
+        ctx = ModulusContext.of(N)
+        everything = [
+            IndexSet(N, c) for k in range(N + 1) for c in itertools.combinations(range(N), k)
+        ]
+        for mc in _pivot_sets(ctx.M):
+            enumerated = {J.members for J in enumerate_solutions(ctx, mc)}
+            for J in everything:
+                assert (J.members in enumerated) == is_solution(ctx, J, mc).ok
+    rng = random.Random(53)
+    ctx = ModulusContext.of(16)
+    for mc in _pivot_sets(ctx.M):
+        solutions = [J.members for J in enumerate_solutions(ctx, mc)]
+        enumerated = set(solutions)
+        sample = rng.sample(solutions, min(len(solutions), 100)) + [
+            tuple(sorted(rng.sample(range(16), rng.randint(0, 16)))) for _ in range(300)
+        ]
+        for members in sample:
+            assert (members in enumerated) == is_solution(ctx, IndexSet(16, members), mc).ok
+
+
+def _assert_certificate(ctx, J, mc, certificate, block_pivots):
+    """The certificate partitions J into conforming tables with pivot set
+    mc_star(mc), listed by least member; ``block_pivots`` caches the pivot
+    columns of blocks already seen."""
+    star = mc_star(ctx.M, mc)
+    firsts = [b.members[0] for b in certificate]
+    assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+    assert sum(len(b) for b in certificate) == len(J)
+    assert set().union(*(b.members for b in certificate)) == set(J.members)
+    for b in certificate:
+        if b.members not in block_pivots:
+            table = from_index_set(ctx, b)
+            block_pivots[b.members] = is_conforming(table) and pivot_columns(table)
+        assert block_pivots[b.members] == star
+
+
+def test_enumerated_certificates():
+    grid = [(N, mc, None) for N in (8, 9, 16) for mc in _pivot_sets(ModulusContext.of(N).M)]
+    # at N = 27 the solutions up to 9 members number 7.1M for mc = () and
+    # 640k for mc = (2,), too many to check one by one
+    grid += [(27, mc, 9) for mc in _pivot_sets(3) if mc.columns not in ((), (2,))]
+    for N, mc, cap in grid:
+        ctx = ModulusContext.of(N)
+        block_pivots: dict = {}
+        for J in enumerate_solutions(ctx, mc, cap):
+            check = is_solution(ctx, J, mc)
+            assert check.ok
+            _assert_certificate(ctx, J, mc, check.certificate, block_pivots)
+
+
+def test_large_modulus_is_solution():
+    ctx = ModulusContext.of(243)
+    mc = PivotSet.from_divisors(ctx, (81,))
+    J = IndexSet(243, tuple(sorted(random.Random(1).sample(range(243), 60))))
+    assert is_solution(ctx, J, mc) == SolutionCheck(False, None)
+    rng = random.Random(59)
+    block = to_index_set(generate_conforming(ctx, mc_star(5, mc), (0, 3, 234)))
+    members: set[int] = set()
+    for _ in range(40):
+        shifted = set(translate(block, rng.randrange(243)).members)
+        if not shifted & members:
+            members |= shifted
+    J = IndexSet.of(243, members)
+    check = is_solution(ctx, J, mc)
+    assert check.ok and len(J) >= 30
+    _assert_certificate(ctx, J, mc, check.certificate, {})
+
+
+def test_enumeration_guard():
+    with pytest.raises(GuardExceededError):
+        next(enumerate_solutions(ModulusContext.of(32), PivotSet.of(())))
+    with pytest.raises(GuardExceededError):
+        next(enumerate_solutions(ModulusContext.of(243), PivotSet.of([4]), 3))
 
 
 def test_singleton_multiset_check():

@@ -92,3 +92,12 @@ def test_simulation_determinism():
     b = simulate(F, pattern, DiscreteSimulation(8, 5))
     assert a.max_error == b.max_error
     assert a.alias_energy == b.alias_energy
+
+
+def test_simulation_rejects_bad_inputs():
+    pattern = SamplingPattern(4, IndexSet.of(4, [0, 1]))
+    with pytest.raises(PreconditionError, match="fragment set must be nonempty"):
+        simulate(FragmentSet.of([]), pattern, DiscreteSimulation(8, 0))
+    for oversampling in (0, -2):
+        with pytest.raises(PreconditionError):
+            DiscreteSimulation(oversampling=oversampling)
