@@ -10,6 +10,7 @@ this is an empirical observation, printed for inspection.
 import argparse
 import json
 
+from idemzeros.errors import DomainError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.sampling import FragmentSet, design_pattern, required_zero_set
 
@@ -23,7 +24,7 @@ def sweep(fragment_sets, periods):
                 continue
             try:
                 result = design_pattern(F, N)
-            except Exception as exc:  # oracle guard or no feasible pattern
+            except DomainError as exc:  # oracle guard or no feasible pattern
                 rows.append({"N": N, "error": str(exc)})
                 continue
             J = result.pattern.offsets

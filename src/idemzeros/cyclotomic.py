@@ -104,6 +104,14 @@ def power_residue_matrix(N: int) -> np.ndarray:
     return np.array(power_residues(N), dtype=np.int64)
 
 
+def subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
+    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
+
+
 def root_sum(N: int, exponents: Iterable[int]) -> CycloElem:
     """Exact representative of sum_j w_N^{e_j} for a multiset of exponents."""
     rows = power_residues(N)

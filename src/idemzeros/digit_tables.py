@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import DigitChoiceError, GuardExceededError, NonPrimePowerError, PreconditionError
@@ -276,26 +277,33 @@ def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]]
     return sorted(blocks, key=lambda b: b[0])
 
 
-def enumerate_solutions(
+def solution_masks(
     ctx: ModulusContext, mc: PivotSet, max_cardinality: int | None = None
-) -> Iterator[IndexSet]:
-    """Every solution for divisors p^mc with |J| <= max_cardinality, each once,
-    in lexicographic order of sorted members.  Includes the empty set.
+) -> list[int]:
+    """Masks of every solution for divisors p^mc with |J| <= max_cardinality,
+    each once, in no particular order.  Includes the empty set (mask 0).
 
-    All solutions are built and sorted before the first one is yielded.
-    Raises GuardExceededError, before building them, when their masks would
-    take more than ENUMERATION_GUARD bits.
+    Raises GuardExceededError, before building them, when the masks would take
+    more than ENUMERATION_GUARD bits.
     """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
     cap = ctx.N if max_cardinality is None else max_cardinality
     star = mc_star(ctx.M, mc)
-    members = sorted(
-        _members(m) for masks in _union_masks(ctx.p, ctx.M, star.columns, cap).values()
-        for m in masks
-    )
-    for t in members:
-        yield IndexSet(ctx.N, t)
+    return [m for masks in _union_masks(ctx.p, ctx.M, star.columns, cap).values() for m in masks]
+
+
+def enumerate_solutions(
+    ctx: ModulusContext, mc: PivotSet, max_cardinality: int | None = None
+) -> Iterator[IndexSet]:
+    """The solutions of ``solution_masks`` as index sets, in lexicographic
+    order of sorted members.  Includes the empty set.
+
+    All solutions are built and sorted before the first one is yielded, under
+    the same guard as ``solution_masks``.
+    """
+    masks = solution_masks(ctx, mc, max_cardinality)
+    yield from sorted((IndexSet.from_mask(ctx.N, m) for m in masks), key=attrgetter("members"))
 
 
 def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, list[int]]:
@@ -342,16 +350,6 @@ def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, l
                 joined = grown
         by_size = joined
     return by_size
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """Set bit positions, ascending; one step per member, not per bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:

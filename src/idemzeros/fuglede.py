@@ -16,16 +16,18 @@ a mask vanishes at a divisor iff its two halves' sums cancel exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import power_residue_matrix
+from .cyclotomic import power_residue_matrix, subset_sums
 from .digit_tables import PivotSet, enumerate_solutions
 from .errors import GuardExceededError, ModulusMismatchError
 from .fourier import idempotent_from_spectrum, zero_set
+from .oracle import brute_force_solutions
 from .zn_core import (
     DivisorSpec,
     IndexSet,
@@ -59,8 +61,6 @@ def _partner_candidates(N: int, required: tuple[int, ...], size: int) -> Iterato
         mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required})
         yield from enumerate_solutions(ctx, mc, max_cardinality=size)
     else:
-        from .oracle import brute_force_solutions
-
         yield from brute_force_solutions(
             N, IndexSet(N, required), "vanish-at-least", max_cardinality=size
         )
@@ -71,21 +71,21 @@ def find_tiling_partners(J: IndexSet, max_results: int | None = None) -> Iterato
 
     Candidates come from the zero-set machinery (the partner's idempotent must
     vanish wherever h_J does not, away from 0) and are re-verified by the
-    integer convolution.
+    integer convolution.  At most ``max_results`` partners are yielded; a
+    negative limit raises ValueError.
     """
+    if max_results is not None and max_results < 0:
+        raise ValueError(f"max_results must be nonnegative, got {max_results}")
     N = J.modulus
     if len(J) == 0 or N % len(J) != 0:
         return
     size = N // len(J)
     zeros = set(_exact_zero_members(J))
     required = tuple(n for n in range(1, N) if n not in zeros)
-    emitted = 0
-    for K in _partner_candidates(N, required, size):
-        if len(K) == size and tiles(J, K):
-            yield K
-            emitted += 1
-            if max_results is not None and emitted >= max_results:
-                return
+    candidates = _partner_candidates(N, required, size)
+    yield from itertools.islice(
+        (K for K in candidates if len(K) == size and tiles(J, K)), max_results
+    )
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,6 @@ class FugledeReport:
     disagreements: tuple[ClassVerdict, ...]
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
-    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
-    for row in rows:
-        sums = np.concatenate([sums, sums + row])
-    return sums
-
-
 def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
     """Least mask of every (size, divisor flags) class among nonempty sets of
     at most ``max_size`` members.
@@ -182,13 +174,13 @@ def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
     low_ids, high_ids = [], []
     for d in divisors:
         rows = R[(np.arange(N) * d) % N]
-        sums = np.concatenate([_subset_sums(rows[:low_bits]), -_subset_sums(rows[low_bits:])])
+        sums = np.concatenate([subset_sums(rows[:low_bits]), -subset_sums(rows[low_bits:])])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
         _, ids = np.unique(rows_as_bytes, return_inverse=True)
         low_ids.append(ids[:n_low])
         high_ids.append(ids[n_low:])
-    low_sizes = _subset_sums(np.ones(low_bits, dtype=np.int64))
-    high_sizes = _subset_sums(np.ones(N - low_bits, dtype=np.int64))
+    low_sizes = subset_sums(np.ones(low_bits, dtype=np.int64))
+    high_sizes = subset_sums(np.ones(N - low_bits, dtype=np.int64))
     n_keys = 256 << len(divisors)
     seen = np.zeros(n_keys, dtype=bool)
     reps: dict[int, int] = {}

@@ -1,103 +1,76 @@
 """Independent ground truth: exhaustive subset search with exact zero tests.
 
-Subsets are enumerated either as full bitmask ranges (guarded by modulus) or,
-when a cardinality cap is given, as combinations.  Zero tests reduce sums of
-roots of unity modulo the cyclotomic polynomial; no structural theorem is used
-to prune, so results stay independent of the enumeration machinery they
-validate.
+One search answers every query.  It builds the mask of every subset of Z_N
+with at most ``cap`` members by doubling over the N positions, then keeps the
+masks whose root sum vanishes at each prescribed zero and, for an exact zero
+set, at no other index.  A root sum at index n is the exact residue of
+sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
+subset-sum tables over fixed-width limbs of the mask.  No structural theorem
+prunes the search, so results stay independent of the enumeration machinery
+they validate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
-from .cyclotomic import power_residue_matrix
-from .digit_tables import PivotSet, enumerate_solutions
+from .cyclotomic import power_residue_matrix, subset_sums
+from .digit_tables import PivotSet, solution_masks
 from .errors import GuardExceededError
 from .zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec
 
 MASK_GUARD_N = 24
 COMBINATION_GUARD = 8_000_000
 _CHUNK = 1 << 16
+_LIMB = 8
 
 
-@lru_cache(maxsize=64)
-def _vanish_masks(N: int, n: int) -> np.ndarray:
-    """Boolean array over all 2^N subset masks: does the subset's root sum
-    vanish at index n?  Built by doubling over low bits, chunked over high bits."""
-    R = power_residue_matrix(N)
-    rows = R[(np.arange(N) * n) % N]
-    low_bits = min(N, 16)
-    low = np.zeros((1, R.shape[1]), dtype=np.int64)
-    for j in range(low_bits):
-        low = np.concatenate([low, low + rows[j]])
-    if N <= 16:
-        return (low == 0).all(axis=1)
-    out = np.empty(1 << N, dtype=bool)
-    for high in range(1 << (N - low_bits)):
-        offset = sum(rows[low_bits + j] for j in range(N - low_bits) if high >> j & 1)
-        base = high << low_bits
-        out[base : base + (1 << low_bits)] = ((low + offset) == 0).all(axis=1)
-    return out
-
-
-def _combo_vanish(N: int, combos: np.ndarray, n: int) -> np.ndarray:
-    """Vanishing flags for an array of member-index rows, chunked."""
-    R = power_residue_matrix(N)
-    flags = np.empty(len(combos), dtype=bool)
-    for lo in range(0, len(combos), _CHUNK):
-        chunk = combos[lo : lo + _CHUNK]
-        sums = R[(chunk * n) % N].sum(axis=1)
-        flags[lo : lo + _CHUNK] = (sums == 0).all(axis=1)
+def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
+    """Flags: does each mask's root sum vanish at index n?  Chunked over masks."""
+    rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
+    limbs = [(lo, subset_sums(rows[lo : lo + _LIMB])) for lo in range(0, N, _LIMB)]
+    limb_mask = (1 << _LIMB) - 1
+    flags = np.empty(len(masks), dtype=bool)
+    for start in range(0, len(masks), _CHUNK):
+        chunk = masks[start : start + _CHUNK]
+        sums = sum(table[(chunk >> lo & limb_mask).astype(np.intp)] for lo, table in limbs)
+        flags[start : start + _CHUNK] = ~sums.any(axis=1)
     return flags
 
 
-def _mask_mode_tuples(N, zset, mode, max_cardinality):
-    keep = np.ones(1 << N, dtype=bool)
-    for n in zset:
-        keep &= _vanish_masks(N, n)
+@lru_cache(maxsize=64)
+def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
+    """Ascending masks of the subsets with at most ``cap`` members and the
+    prescribed zeros; read-only, since the cache shares them."""
+    total = sum(comb(N, k) for k in range(cap + 1))
+    # int64 holds bits 0..62; wider masks are Python ints
+    masks = np.zeros(total, dtype=np.int64 if N <= 62 else object)
+    # int8 sizes suffice: a mask with 128 members comes after 2^127 others
+    sizes = np.zeros(total, dtype=np.int8)
+    built = min(total, 1)
+    for j in range(N):
+        grow = sizes[:built] < cap
+        new = slice(built, built + np.count_nonzero(grow))
+        np.bitwise_or(masks[:built][grow], 1 << j, out=masks[new])
+        sizes[new] = sizes[:built][grow] + 1
+        built = new.stop
+    for n in zeros:
+        masks = masks[_vanishes(N, masks, n)]
     if mode == "exact-zero-set":
-        outside = [n for n in range(N) if n not in zset]
-        for n in outside:
-            keep &= ~_vanish_masks(N, n)
-    masks = np.flatnonzero(keep)
-    if max_cardinality < N:
-        pop = np.array([int(m).bit_count() for m in masks])
-        masks = masks[pop <= max_cardinality]
-    return sorted(tuple(i for i in range(N) if m >> i & 1) for m in masks)
+        for n in range(N):
+            if n not in zeros:
+                masks = masks[~_vanishes(N, masks, n)]
+    masks.setflags(write=False)
+    return masks
 
 
-def _combo_mode_tuples(N, zset, mode, max_cardinality):
-    out = []
-    outside = [n for n in range(1, N) if n not in zset]
-    for k in range(max_cardinality + 1):
-        if k == 0:
-            # the zero idempotent vanishes everywhere
-            if mode == "vanish-at-least" or set(zset) == set(range(N)):
-                out.append(())
-            continue
-        combos = np.array(list(itertools.combinations(range(N), k)), dtype=np.int64)
-        for n in sorted(zset):
-            if not len(combos):
-                break
-            combos = combos[_combo_vanish(N, combos, n)]
-        if mode == "exact-zero-set":
-            if 0 in zset:
-                continue  # only the empty set vanishes at 0
-            for n in outside:
-                if not len(combos):
-                    break
-                combos = combos[~_combo_vanish(N, combos, n)]
-        out.extend(tuple(int(v) for v in row) for row in combos)
-    return sorted(out)
-
-
-def _brute_force_tuples(N, zset, mode, max_cardinality, override_guard):
+def _solution_masks(N, zeros, mode, max_cardinality, override_guard) -> np.ndarray:
+    """The cached search, once the guards have passed; they run before any work."""
     if mode not in ("vanish-at-least", "exact-zero-set"):
         raise ValueError(f"unknown mode {mode!r}")
     full = max_cardinality is None or (max_cardinality >= N and N <= MASK_GUARD_N)
@@ -107,13 +80,18 @@ def _brute_force_tuples(N, zset, mode, max_cardinality, override_guard):
             raise GuardExceededError(
                 f"full subset search needs 2^{N} masks; pass override_guard for N > {MASK_GUARD_N}"
             )
-        return _mask_mode_tuples(N, zset, mode, cap)
-    total = sum(comb(N, k) for k in range(cap + 1))
-    if total > COMBINATION_GUARD and not override_guard:
-        raise GuardExceededError(
-            f"{total} subsets up to cardinality {cap} exceeds the search guard"
-        )
-    return _combo_mode_tuples(N, zset, mode, cap)
+    else:
+        total = sum(comb(N, k) for k in range(cap + 1))
+        if total > COMBINATION_GUARD and not override_guard:
+            raise GuardExceededError(
+                f"{total} subsets up to cardinality {cap} exceeds the search guard"
+            )
+    return _search(N, tuple(zeros), mode, cap)
+
+
+def _index_sets(N: int, masks) -> list[IndexSet]:
+    """The masks as index sets, in lexicographic order of sorted members."""
+    return sorted((IndexSet.from_mask(N, m) for m in masks), key=attrgetter("members"))
 
 
 def brute_force_solutions(
@@ -125,8 +103,8 @@ def brute_force_solutions(
 ) -> list[IndexSet]:
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
-    tuples = _brute_force_tuples(N, zeros.members, mode, max_cardinality, override_guard)
-    return [IndexSet(N, t) for t in tuples]
+    masks = _solution_masks(N, zeros.members, mode, max_cardinality, override_guard)
+    return _index_sets(N, map(int, masks))
 
 
 @dataclass(frozen=True)
@@ -156,17 +134,15 @@ def compare_with_theorem(
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     zeros = expand_zero_spec(spec)
     oracle_side = set(
-        _brute_force_tuples(ctx.N, zeros.members, "vanish-at-least", cap, override_guard)
+        _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap, override_guard).tolist()
     )
-    theorem_side = {J.members for J in enumerate_solutions(ctx, mc, cap)}
-    only_oracle = sorted(oracle_side - theorem_side)
-    only_theorem = sorted(theorem_side - oracle_side)
+    theorem_side = set(solution_masks(ctx, mc, cap))
     return ComparisonReport(
         ctx.N,
         tuple(mc.columns),
         cap,
         len(oracle_side),
         len(theorem_side),
-        tuple(IndexSet(ctx.N, t) for t in only_oracle),
-        tuple(IndexSet(ctx.N, t) for t in only_theorem),
+        tuple(_index_sets(ctx.N, oracle_side - theorem_side)),
+        tuple(_index_sets(ctx.N, theorem_side - oracle_side)),
     )

@@ -93,7 +93,15 @@ class IndexSet:
 
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "IndexSet":
-        return cls(modulus, tuple(i for i in range(modulus) if mask >> i & 1))
+        """Members are the set bits of ``mask``; one step per member, not per bit."""
+        if mask < 0 or mask >> modulus:
+            raise ValueError(f"mask {mask} has bits outside [0, {modulus})")
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return cls(modulus, tuple(members))
 
     @property
     def mask(self) -> int:

@@ -129,6 +129,15 @@ def test_invalid_input_is_an_error_object(args):
     assert "Traceback" not in proc.stderr
 
 
+def test_partners_max_results_bounds():
+    proc = run_cli("fuglede", "partners", "--N", "8", "--J", "0", "--max-results", "0")
+    assert proc.returncode == 0 and proc.stdout == ""
+    proc = run_cli("fuglede", "partners", "--N", "8", "--J", "0", "--max-results", "-1")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["code"] == "invalid-value"
+    assert set(json.loads(proc.stdout)) == {"code", "message"}
+
+
 def test_usage_error_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("zeroset", "enumerate").returncode == 2

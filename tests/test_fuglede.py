@@ -60,6 +60,12 @@ def test_partner_limit():
     assert len(list(find_tiling_partners(IndexSet.of(8, [0, 4]), max_results=3))) == 3
 
 
+def test_partner_limit_zero_and_negative():
+    assert list(find_tiling_partners(IndexSet.of(8, [0]), max_results=0)) == []
+    with pytest.raises(ValueError):
+        list(find_tiling_partners(IndexSet.of(8, [0]), max_results=-1))
+
+
 def test_spectral_examples():
     assert is_spectral(IndexSet.of(4, [0, 1])).spectral
     assert not is_spectral(IndexSet.of(4, [0, 1, 2])).spectral

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from idemzeros.cyclotomic import is_zero, root_sum
 from idemzeros.digit_tables import PivotSet
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
@@ -19,6 +20,8 @@ def test_n4_vanish_at_index_2():
         (2, 3),
         (0, 1, 2, 3),
     }
+    # IndexSet keeps members as given, here a list
+    assert brute_force_solutions(4, IndexSet(4, [2])) == sols
 
 
 def test_n6_exact_nonexistence():
@@ -48,11 +51,35 @@ def test_oracle_solutions_have_structured_zero_sets():
         assert zero_set(idempotent_from_spectrum(s)).structure_ok
 
 
-def test_combination_mode_agrees_with_mask_mode():
+def test_capped_search_is_filtered_full_search():
     N, zeros = 8, IndexSet.of(8, [4])
     capped = brute_force_solutions(N, zeros, max_cardinality=3)
     full = [s for s in brute_force_solutions(N, zeros) if len(s) <= 3]
     assert capped == full
+
+
+def test_exact_mode_edge_cases():
+    N = 6
+    for cap in (None, 2):
+        everywhere = brute_force_solutions(N, IndexSet.of(N, range(N)), "exact-zero-set", cap)
+        assert everywhere == [IndexSet(N, ())]
+        # only the empty set vanishes at 0, and it vanishes everywhere
+        assert brute_force_solutions(N, IndexSet.of(N, [0, 3]), "exact-zero-set", cap) == []
+
+
+def test_wide_modulus_capped_search():
+    # N > 62: masks no longer fit in int64
+    N, zeros, cap = 100, IndexSet.of(100, [50]), 2
+    expected = [
+        IndexSet(N, J)
+        for k in range(cap + 1)
+        for J in itertools.combinations(range(N), k)
+        if is_zero(root_sum(N, (50 * j for j in J)))
+    ]
+    assert brute_force_solutions(N, zeros, max_cardinality=cap) == sorted(
+        expected, key=lambda J: J.members
+    )
+    assert len(expected) == 1 + 50 * 50
 
 
 def test_guard_raises():

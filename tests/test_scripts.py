@@ -1,0 +1,32 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name: str, *args: str) -> list[dict]:
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    module.main()
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_sampling_sweep_through_the_oracle(monkeypatch, capsys):
+    # 12 is not a prime power, so its designs come from the exhaustive oracle
+    records = run_script(
+        monkeypatch, capsys, "sampling_sweep", "--fragments", "0,2", "0,1,3", "--periods", "8,12"
+    )
+    designs = [row for r in records for row in r.get("designs", [])]
+    assert [row["N"] for row in designs] == [8, 12, 8, 12]
+    assert not any("error" in row for row in designs)
+
+
+def test_fuglede_scan(monkeypatch, capsys):
+    records = run_script(monkeypatch, capsys, "fuglede_scan", "--moduli", "4,8")
+    assert [r["N"] for r in records] == [4, 8]
+    assert all(r["disagreements"] == 0 for r in records)

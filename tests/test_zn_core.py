@@ -55,6 +55,15 @@ def test_index_set_rejects_bad_members():
         IndexSet(4, (2, 1))
 
 
+def test_from_mask_rejects_bits_outside_modulus():
+    assert IndexSet.from_mask(4, 0b1001) == IndexSet(4, (0, 3))
+    assert IndexSet.from_mask(70, 1 << 69 | 1) == IndexSet(70, (0, 69))
+    with pytest.raises(ValueError):
+        IndexSet.from_mask(4, 0b10001)
+    with pytest.raises(ValueError):
+        IndexSet.from_mask(4, -1)
+
+
 def test_divisor_spec_validation():
     DivisorSpec.of(12, [1, 2, 6])
     with pytest.raises(InvalidDivisorError):
