@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .errors import DigitChoiceError, GuardExceededError, NonPrimePowerError, PreconditionError
-from .zn_core import DivisorSpec, IndexSet, ModulusContext
+from .errors import (
+    DigitChoiceError,
+    GuardExceededError,
+    ModulusMismatchError,
+    NonPrimePowerError,
+    PreconditionError,
+)
+from .zn_core import DivisorSpec, IndexSet, ModulusContext, index_sets
 
 
 @dataclass(frozen=True)
@@ -244,10 +249,13 @@ def is_solution(ctx: ModulusContext, J: IndexSet, mc: PivotSet) -> SolutionCheck
     """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
+    if J.modulus != ctx.N:
+        raise ModulusMismatchError(f"set modulus {J.modulus} != N={ctx.N}")
     blocks = _split(list(J.members), ctx.p, mc_star(ctx.M, mc).columns)
     if blocks is None:
         return SolutionCheck(False, None)
-    return SolutionCheck(True, tuple(IndexSet(ctx.N, tuple(b)) for b in blocks))
+    # each block is a sorted sub-list of J's validated members
+    return SolutionCheck(True, tuple(IndexSet._unchecked(ctx.N, tuple(b)) for b in blocks))
 
 
 def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]] | None:
@@ -299,11 +307,11 @@ def enumerate_solutions(
     """The solutions of ``solution_masks`` as index sets, in lexicographic
     order of sorted members.  Includes the empty set.
 
-    All solutions are built and sorted before the first one is yielded, under
-    the same guard as ``solution_masks``.
+    The member tuples of all solutions are built and sorted before the first
+    one is yielded, under the same guard as ``solution_masks``; each
+    ``IndexSet`` is built only when the caller asks for the next one.
     """
-    masks = solution_masks(ctx, mc, max_cardinality)
-    yield from sorted((IndexSet.from_mask(ctx.N, m) for m in masks), key=attrgetter("members"))
+    yield from index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
 
 
 def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, list[int]]:

@@ -5,7 +5,8 @@ with at most ``cap`` members by doubling over the N positions, then keeps the
 masks whose root sum vanishes at each prescribed zero and, for an exact zero
 set, at no other index.  A root sum at index n is the exact residue of
 sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
-subset-sum tables over fixed-width limbs of the mask.  No structural theorem
+subset-sum tables over fixed-width limbs of the mask, in int16 when a bound on
+every partial sum allows and in int64 otherwise.  No structural theorem
 prunes the search, so results stay independent of the enumeration machinery
 they validate.
 """
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import attrgetter
 
 import numpy as np
 
 from .cyclotomic import power_residue_matrix, subset_sums
 from .digit_tables import PivotSet, solution_masks
 from .errors import GuardExceededError
-from .zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec
+from .zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec, index_sets
 
 MASK_GUARD_N = 24
 COMBINATION_GUARD = 8_000_000
@@ -33,7 +33,11 @@ _LIMB = 8
 def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
     """Flags: does each mask's root sum vanish at index n?  Chunked over masks."""
     rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
-    limbs = [(lo, subset_sums(rows[lo : lo + _LIMB])) for lo in range(0, N, _LIMB)]
+    # every partial sum is bounded by the column sums of |rows|
+    dtype = np.int16 if np.abs(rows).sum(axis=0).max() < 1 << 15 else np.int64
+    limbs = [
+        (lo, subset_sums(rows[lo : lo + _LIMB]).astype(dtype)) for lo in range(0, N, _LIMB)
+    ]
     limb_mask = (1 << _LIMB) - 1
     flags = np.empty(len(masks), dtype=bool)
     for start in range(0, len(masks), _CHUNK):
@@ -89,11 +93,6 @@ def _solution_masks(N, zeros, mode, max_cardinality, override_guard) -> np.ndarr
     return _search(N, tuple(zeros), mode, cap)
 
 
-def _index_sets(N: int, masks) -> list[IndexSet]:
-    """The masks as index sets, in lexicographic order of sorted members."""
-    return sorted((IndexSet.from_mask(N, m) for m in masks), key=attrgetter("members"))
-
-
 def brute_force_solutions(
     N: int,
     zeros: IndexSet,
@@ -104,7 +103,7 @@ def brute_force_solutions(
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
     masks = _solution_masks(N, zeros.members, mode, max_cardinality, override_guard)
-    return _index_sets(N, map(int, masks))
+    return list(index_sets(N, masks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -133,16 +132,22 @@ def compare_with_theorem(
     cap = ctx.N if max_cardinality is None else max_cardinality
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     zeros = expand_zero_spec(spec)
-    oracle_side = set(
-        _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap, override_guard).tolist()
-    )
-    theorem_side = set(solution_masks(ctx, mc, cap))
+    # both sides ascending; only a difference becomes index sets
+    oracle_side = _solution_masks(
+        ctx.N, zeros.members, "vanish-at-least", cap, override_guard
+    ).tolist()
+    theorem_side = sorted(solution_masks(ctx, mc, cap))
+    only_oracle = only_theorem = ()
+    if oracle_side != theorem_side:
+        o, t = set(oracle_side), set(theorem_side)
+        only_oracle = tuple(index_sets(ctx.N, o - t))
+        only_theorem = tuple(index_sets(ctx.N, t - o))
     return ComparisonReport(
         ctx.N,
         tuple(mc.columns),
         cap,
         len(oracle_side),
         len(theorem_side),
-        tuple(_index_sets(ctx.N, oracle_side - theorem_side)),
-        tuple(_index_sets(ctx.N, theorem_side - oracle_side)),
+        only_oracle,
+        only_theorem,
     )

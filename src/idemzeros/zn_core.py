@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
 
@@ -69,6 +69,36 @@ class ModulusContext:
         return self.factorization[0][1]
 
 
+@lru_cache(maxsize=None)
+def _byte_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Table k maps a byte to its set bit positions offset by 8k, for the 8
+    bytes of a mask below 2^64; each table is built by doubling over its bits."""
+    tables = []
+    for k in range(8):
+        rows = [()]
+        for i in range(8 * k, 8 * k + 8):
+            rows += [row + (i,) for row in rows]
+        tables.append(tuple(rows))
+    return tuple(tables)
+
+
+def _mask_members(mask: int) -> tuple[int, ...]:
+    """Set bit positions of a nonnegative mask, ascending: one table lookup per
+    byte below bit 64, one step per member above it."""
+    members = ()
+    for table in _byte_tables():
+        if not mask:
+            return members
+        members += table[mask & 255]
+        mask >>= 8
+    high = []
+    while mask:
+        low = mask & -mask
+        high.append(64 + low.bit_length() - 1)
+        mask ^= low
+    return members + tuple(high)
+
+
 @dataclass(frozen=True, order=True)
 class IndexSet:
     """A finite subset of Z_N, stored as a strictly sorted member tuple."""
@@ -79,6 +109,8 @@ class IndexSet:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
+        if not isinstance(self.members, tuple):
+            object.__setattr__(self, "members", tuple(self.members))
         prev = -1
         for m in self.members:
             if not prev < m < self.modulus:
@@ -88,20 +120,24 @@ class IndexSet:
             prev = m
 
     @classmethod
+    def _unchecked(cls, modulus: int, members: tuple[int, ...]) -> "IndexSet":
+        """A set whose members the library built as a strictly increasing tuple
+        of residues in [0, modulus); skips the validation of __post_init__."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "modulus", modulus)
+        object.__setattr__(s, "members", members)
+        return s
+
+    @classmethod
     def of(cls, modulus: int, members: Iterable[int]) -> "IndexSet":
         return cls(modulus, tuple(sorted({m % modulus for m in members})))
 
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "IndexSet":
-        """Members are the set bits of ``mask``; one step per member, not per bit."""
+        """Members are the set bits of ``mask``, joined one byte at a time."""
         if mask < 0 or mask >> modulus:
             raise ValueError(f"mask {mask} has bits outside [0, {modulus})")
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(modulus, tuple(members))
+        return cls._unchecked(modulus, _mask_members(mask))
 
     @property
     def mask(self) -> int:
@@ -122,6 +158,19 @@ class IndexSet:
     @classmethod
     def from_json(cls, obj: dict) -> "IndexSet":
         return cls.of(int(obj["N"]), obj["members"])
+
+
+def index_sets(modulus: int, masks: Collection[int]) -> Iterator[IndexSet]:
+    """The masks as index sets, in lexicographic order of sorted members.
+
+    All member tuples are built and sorted first; each ``IndexSet`` is built
+    only when the caller asks for the next one.  Raises ValueError, before
+    yielding, when a mask has bits outside [0, modulus).
+    """
+    if masks and (min(masks) < 0 or max(masks) >> modulus):
+        raise ValueError(f"masks have bits outside [0, {modulus})")
+    for members in sorted(map(_mask_members, masks)):
+        yield IndexSet._unchecked(modulus, members)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ from idemzeros.digit_tables import (
     is_solution,
     mc_star,
     pivot_columns,
+    solution_masks,
     to_index_set,
 )
 from idemzeros.errors import (
     DigitChoiceError,
     GuardExceededError,
     InvalidDivisorError,
+    ModulusMismatchError,
     NonPrimePowerError,
     PreconditionError,
 )
@@ -140,6 +142,21 @@ def test_is_solution_certificate():
     assert union == {0, 1, 4, 7}
     assert not is_solution(ctx, IndexSet.of(8, [0, 1, 2]), PivotSet.of([2])).ok
     assert is_solution(ctx, IndexSet.of(8, []), PivotSet.of([2])).ok
+
+
+def test_certificate_blocks_equal_validated_rebuild():
+    rng = random.Random(67)
+    for N, cap in ((9, None), (16, None), (27, 6)):
+        ctx = ModulusContext.of(N)
+        for mc in _pivot_sets(ctx.M):
+            masks = solution_masks(ctx, mc, cap)
+            for mask in rng.sample(masks, min(len(masks), 200)):
+                J = IndexSet.from_mask(N, mask)
+                for block in is_solution(ctx, J, mc).certificate:
+                    assert isinstance(block.members, tuple)
+                    assert block == IndexSet(N, list(block.members))
+    with pytest.raises(ModulusMismatchError):
+        is_solution(ModulusContext.of(9), IndexSet(27, (0, 9, 18)), PivotSet.of(()))
 
 
 def test_enumeration_n4_worked_example():

@@ -1,9 +1,12 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
+from idemzeros import oracle
 from idemzeros.cyclotomic import is_zero, root_sum
-from idemzeros.digit_tables import PivotSet
+from idemzeros.digit_tables import PivotSet, solution_masks
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions, compare_with_theorem
@@ -20,7 +23,7 @@ def test_n4_vanish_at_index_2():
         (2, 3),
         (0, 1, 2, 3),
     }
-    # IndexSet keeps members as given, here a list
+    # an IndexSet given a list of members stores them as a tuple
     assert brute_force_solutions(4, IndexSet(4, [2])) == sols
 
 
@@ -82,6 +85,27 @@ def test_wide_modulus_capped_search():
     assert len(expected) == 1 + 50 * 50
 
 
+def test_narrow_sums_with_larger_cyclotomic_coefficients():
+    # Phi_105 has a coefficient -2, so residues of powers of x are not all 0/1
+    N, zeros = 105, IndexSet(105, (1,))
+    found = brute_force_solutions(N, zeros, max_cardinality=3)
+    cosets = [IndexSet(N, (a, a + 35, a + 70)) for a in range(35)]
+    assert found == [IndexSet(N, ())] + cosets
+    for J in found:
+        assert is_zero(root_sum(N, J.members))
+    assert brute_force_solutions(N, zeros, "exact-zero-set", 3) == []
+    # the vanish flags agree with exact root sums at every index, on sets
+    # that mostly do not vanish
+    rng = random.Random(71)
+    sets = [sorted(rng.sample(range(N), rng.randint(1, 8))) for _ in range(40)] + [
+        J.members for J in cosets[:5]
+    ]
+    masks = np.array([sum(1 << j for j in J) for J in sets], dtype=object)
+    for n in range(N):
+        flags = oracle._vanishes(N, masks, n)
+        assert flags.tolist() == [is_zero(root_sum(N, (j * n for j in J))) for J in sets]
+
+
 def test_guard_raises():
     with pytest.raises(GuardExceededError):
         brute_force_solutions(25, IndexSet.of(25, [5]))
@@ -97,3 +121,23 @@ def test_compare_with_theorem_capped():
     report = compare_with_theorem(ModulusContext.of(25), PivotSet.of([1]), max_cardinality=5)
     assert report.passed
     assert report.oracle_count == report.theorem_count > 0
+
+
+def test_compare_with_theorem_reports_differences(monkeypatch):
+    ctx, mc = ModulusContext.of(8), PivotSet.of([2])
+    true_masks = solution_masks(ctx, mc)
+    # {1} comes after {0, 2} in member order, before it in mask order
+    dropped = [0b11, 0b11000000]
+    added = [0b10, 0b101]
+    assert all(m in true_masks for m in dropped)
+    assert not any(m in true_masks for m in added)
+    monkeypatch.setattr(
+        oracle,
+        "solution_masks",
+        lambda *args: [m for m in true_masks if m not in dropped] + added,
+    )
+    report = compare_with_theorem(ctx, mc)
+    assert not report.passed
+    assert report.oracle_count == report.theorem_count == len(true_masks)
+    assert report.only_oracle == (IndexSet(8, (0, 1)), IndexSet(8, (6, 7)))
+    assert report.only_theorem == (IndexSet(8, (0, 2)), IndexSet(8, (1,)))

@@ -14,6 +14,7 @@ from idemzeros.zn_core import (
     expand_zero_spec,
     factorize,
     gcd_class,
+    index_sets,
     proper_divisors,
     reverse,
     same_modulus,
@@ -62,6 +63,41 @@ def test_from_mask_rejects_bits_outside_modulus():
         IndexSet.from_mask(4, 0b10001)
     with pytest.raises(ValueError):
         IndexSet.from_mask(4, -1)
+
+
+def test_index_set_stores_members_as_tuple():
+    s = IndexSet(4, [2])
+    assert s.members == (2,) and isinstance(s.members, tuple)
+    assert s == IndexSet(4, (2,))
+    assert hash(s) == hash(IndexSet(4, (2,)))
+    assert IndexSet(9, range(3)) == IndexSet(9, (0, 1, 2))
+
+
+def _validated(N: int, mask: int) -> IndexSet:
+    return IndexSet(N, tuple(i for i in range(N) if mask >> i & 1))
+
+
+def test_from_mask_matches_validated_constructor():
+    # byte boundaries, N not a multiple of 8, and masks wider than int64,
+    # which run past the byte tables
+    rng = random.Random(61)
+    for N in (1, 7, 8, 9, 27, 63, 100, 300):
+        masks = [0, (1 << N) - 1, 1 << (N - 1)]
+        masks += [rng.getrandbits(N) for _ in range(200)]
+        masks += [sum(1 << i for i in rng.sample(range(N), min(N, 3))) for _ in range(50)]
+        for mask in masks:
+            s = IndexSet.from_mask(N, mask)
+            assert s == _validated(N, mask) and isinstance(s.members, tuple)
+            assert s.mask == mask
+        expected = sorted((_validated(N, m) for m in set(masks)), key=lambda J: J.members)
+        assert list(index_sets(N, set(masks))) == expected
+
+
+def test_index_sets_rejects_bits_outside_modulus():
+    assert list(index_sets(4, [])) == []
+    for masks in ([0b1001, 0b10000], [0b1, -1]):
+        with pytest.raises(ValueError):
+            next(index_sets(4, masks))
 
 
 def test_divisor_spec_validation():
