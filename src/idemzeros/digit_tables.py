@@ -29,7 +29,7 @@ from .errors import (
     NonPrimePowerError,
     PreconditionError,
 )
-from .zn_core import DivisorSpec, IndexSet, ModulusContext, index_sets
+from .zn_core import DivisorSpec, IndexSet, ModulusContext, _index_sets
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,7 @@ def enumerate_solutions(
     one is yielded, under the same guard as ``solution_masks``; each
     ``IndexSet`` is built only when the caller asks for the next one.
     """
-    yield from index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
+    yield from _index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
 
 
 def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, list[int]]:

@@ -22,7 +22,13 @@ import numpy as np
 from .cyclotomic import power_residue_matrix, subset_sums
 from .digit_tables import PivotSet, solution_masks
 from .errors import GuardExceededError
-from .zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec, index_sets
+from .zn_core import (
+    DivisorSpec,
+    IndexSet,
+    ModulusContext,
+    _index_sets,
+    expand_zero_spec,
+)
 
 MASK_GUARD_N = 24
 COMBINATION_GUARD = 8_000_000
@@ -103,7 +109,7 @@ def brute_force_solutions(
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
     masks = _solution_masks(N, zeros.members, mode, max_cardinality, override_guard)
-    return list(index_sets(N, masks.tolist()))
+    return list(_index_sets(N, masks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,8 @@ def compare_with_theorem(
     only_oracle = only_theorem = ()
     if oracle_side != theorem_side:
         o, t = set(oracle_side), set(theorem_side)
-        only_oracle = tuple(index_sets(ctx.N, o - t))
-        only_theorem = tuple(index_sets(ctx.N, t - o))
+        only_oracle = tuple(_index_sets(ctx.N, o - t))
+        only_theorem = tuple(_index_sets(ctx.N, t - o))
     return ComparisonReport(
         ctx.N,
         tuple(mc.columns),

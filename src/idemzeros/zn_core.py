@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
 
@@ -69,34 +69,35 @@ class ModulusContext:
         return self.factorization[0][1]
 
 
+_ByteTable = tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _byte_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Table k maps a byte to its set bit positions offset by 8k, for the 8
-    bytes of a mask below 2^64; each table is built by doubling over its bits."""
-    tables = []
-    for k in range(8):
-        rows = [()]
-        for i in range(8 * k, 8 * k + 8):
-            rows += [row + (i,) for row in rows]
-        tables.append(tuple(rows))
-    return tuple(tables)
+def _byte_table(k: int) -> _ByteTable:
+    """Maps a byte to its set bit positions offset by 8k; built by doubling
+    over the byte's 8 bits."""
+    rows = [()]
+    for i in range(8 * k, 8 * k + 8):
+        rows += [row + (i,) for row in rows]
+    return tuple(rows)
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    """Set bit positions of a nonnegative mask, ascending: one table lookup per
-    byte below bit 64, one step per member above it."""
+@lru_cache(maxsize=None)
+def _byte_tables(modulus: int) -> tuple[_ByteTable, ...]:
+    """The byte tables that cover a mask with bits in [0, modulus)."""
+    return tuple(_byte_table(k) for k in range((modulus + 7) // 8))
+
+
+def _mask_members(mask: int, tables: tuple[_ByteTable, ...]) -> tuple[int, ...]:
+    """Set bit positions of a nonnegative mask that ``tables`` covers,
+    ascending: one table lookup per byte."""
     members = ()
-    for table in _byte_tables():
+    for table in tables:
         if not mask:
-            return members
+            break
         members += table[mask & 255]
         mask >>= 8
-    high = []
-    while mask:
-        low = mask & -mask
-        high.append(64 + low.bit_length() - 1)
-        mask ^= low
-    return members + tuple(high)
+    return members
 
 
 @dataclass(frozen=True, order=True)
@@ -135,9 +136,11 @@ class IndexSet:
     @classmethod
     def from_mask(cls, modulus: int, mask: int) -> "IndexSet":
         """Members are the set bits of ``mask``, joined one byte at a time."""
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
         if mask < 0 or mask >> modulus:
             raise ValueError(f"mask {mask} has bits outside [0, {modulus})")
-        return cls._unchecked(modulus, _mask_members(mask))
+        return cls._unchecked(modulus, _mask_members(mask, _byte_tables(modulus)))
 
     @property
     def mask(self) -> int:
@@ -160,7 +163,7 @@ class IndexSet:
         return cls.of(int(obj["N"]), obj["members"])
 
 
-def index_sets(modulus: int, masks: Collection[int]) -> Iterator[IndexSet]:
+def _index_sets(modulus: int, masks: list[int] | set[int]) -> Iterator[IndexSet]:
     """The masks as index sets, in lexicographic order of sorted members.
 
     All member tuples are built and sorted first; each ``IndexSet`` is built
@@ -169,7 +172,8 @@ def index_sets(modulus: int, masks: Collection[int]) -> Iterator[IndexSet]:
     """
     if masks and (min(masks) < 0 or max(masks) >> modulus):
         raise ValueError(f"masks have bits outside [0, {modulus})")
-    for members in sorted(map(_mask_members, masks)):
+    tables = _byte_tables(modulus)
+    for members in sorted(_mask_members(mask, tables) for mask in masks):
         yield IndexSet._unchecked(modulus, members)
 
 

@@ -9,12 +9,12 @@ from idemzeros.zn_core import (
     DivisorSpec,
     IndexSet,
     ModulusContext,
+    _index_sets,
     bracelet,
     canonical_bracelet_rep,
     expand_zero_spec,
     factorize,
     gcd_class,
-    index_sets,
     proper_divisors,
     reverse,
     same_modulus,
@@ -65,6 +65,14 @@ def test_from_mask_rejects_bits_outside_modulus():
         IndexSet.from_mask(4, -1)
 
 
+def test_from_mask_rejects_nonpositive_modulus():
+    # the unchecked constructor must not let a modulus past that
+    # IndexSet(0, ()) would reject
+    for modulus in (0, -1):
+        with pytest.raises(ValueError):
+            IndexSet.from_mask(modulus, 0)
+
+
 def test_index_set_stores_members_as_tuple():
     s = IndexSet(4, [2])
     assert s.members == (2,) and isinstance(s.members, tuple)
@@ -78,8 +86,7 @@ def _validated(N: int, mask: int) -> IndexSet:
 
 
 def test_from_mask_matches_validated_constructor():
-    # byte boundaries, N not a multiple of 8, and masks wider than int64,
-    # which run past the byte tables
+    # byte boundaries, N not a multiple of 8, and masks wider than int64
     rng = random.Random(61)
     for N in (1, 7, 8, 9, 27, 63, 100, 300):
         masks = [0, (1 << N) - 1, 1 << (N - 1)]
@@ -90,14 +97,14 @@ def test_from_mask_matches_validated_constructor():
             assert s == _validated(N, mask) and isinstance(s.members, tuple)
             assert s.mask == mask
         expected = sorted((_validated(N, m) for m in set(masks)), key=lambda J: J.members)
-        assert list(index_sets(N, set(masks))) == expected
+        assert list(_index_sets(N, set(masks))) == expected
 
 
 def test_index_sets_rejects_bits_outside_modulus():
-    assert list(index_sets(4, [])) == []
+    assert list(_index_sets(4, [])) == []
     for masks in ([0b1001, 0b10000], [0b1, -1]):
         with pytest.raises(ValueError):
-            next(index_sets(4, masks))
+            next(_index_sets(4, masks))
 
 
 def test_divisor_spec_validation():
