@@ -307,9 +307,9 @@ def enumerate_solutions(
     """The solutions of ``solution_masks`` as index sets, in lexicographic
     order of sorted members.  Includes the empty set.
 
-    The member tuples of all solutions are built and sorted before the first
-    one is yielded, under the same guard as ``solution_masks``; each
-    ``IndexSet`` is built only when the caller asks for the next one.
+    All solution masks are built and put in order before the first one is
+    yielded, under the same guard as ``solution_masks``; each member tuple
+    and ``IndexSet`` is built only when the caller asks for the next one.
     """
     yield from _index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
 

@@ -3,12 +3,14 @@
 One search answers every query.  It builds the mask of every subset of Z_N
 with at most ``cap`` members by doubling over the N positions, then keeps the
 masks whose root sum vanishes at each prescribed zero and, for an exact zero
-set, at no other index.  A root sum at index n is the exact residue of
-sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
-subset-sum tables over fixed-width limbs of the mask, in int16 when a bound on
-every partial sum allows and in int64 otherwise.  No structural theorem
-prunes the search, so results stay independent of the enumeration machinery
-they validate.
+set, at no other index.  The pass over the full table for the least zero is
+cached apart, so searches that share their least zero share that pass; the
+other zeros, and the exact-mode indices, are tested on its survivors.  A root
+sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
+cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
+of the mask, in int16 when a bound on every partial sum allows and in int64
+otherwise.  No structural theorem prunes the search, so results stay
+independent of the enumeration machinery they validate.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
     return flags
 
 
-@lru_cache(maxsize=64)
-def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
-    """Ascending masks of the subsets with at most ``cap`` members and the
-    prescribed zeros; read-only, since the cache shares them."""
+def _subset_masks(N: int, cap: int) -> np.ndarray:
+    """Ascending masks of the subsets of Z_N with at most ``cap`` members."""
     total = sum(comb(N, k) for k in range(cap + 1))
     # int64 holds bits 0..62; wider masks are Python ints
     masks = np.zeros(total, dtype=np.int64 if N <= 62 else object)
@@ -69,7 +69,30 @@ def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
         np.bitwise_or(masks[:built][grow], 1 << j, out=masks[new])
         sizes[new] = sizes[:built][grow] + 1
         built = new.stop
-    for n in zeros:
+    return masks
+
+
+@lru_cache(maxsize=64)
+def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
+    """Ascending masks of the subsets with at most ``cap`` members whose root
+    sum vanishes at index n; read-only, since the cache shares them.  The one
+    pass over the full subset table, shared by every search whose least
+    prescribed zero is n."""
+    masks = _subset_masks(N, cap)
+    masks = masks[_vanishes(N, masks, n)]
+    masks.setflags(write=False)
+    return masks
+
+
+@lru_cache(maxsize=64)
+def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
+    """Ascending masks of the subsets with at most ``cap`` members and the
+    prescribed zeros; read-only, since the cache shares them.  The least zero
+    comes from ``_vanishing``; every other zero, and in exact mode every other
+    index, is tested on its survivors."""
+    rest = sorted(zeros)
+    masks = _vanishing(N, cap, rest.pop(0)) if rest else _subset_masks(N, cap)
+    for n in rest:
         masks = masks[_vanishes(N, masks, n)]
     if mode == "exact-zero-set":
         for n in range(N):
@@ -138,14 +161,13 @@ def compare_with_theorem(
     cap = ctx.N if max_cardinality is None else max_cardinality
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     zeros = expand_zero_spec(spec)
-    # both sides ascending; only a difference becomes index sets
-    oracle_side = _solution_masks(
-        ctx.N, zeros.members, "vanish-at-least", cap, override_guard
-    ).tolist()
-    theorem_side = sorted(solution_masks(ctx, mc, cap))
+    oracle_side = _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap, override_guard)
+    theorem_side = np.array(solution_masks(ctx, mc, cap), dtype=oracle_side.dtype)
+    theorem_side.sort()
     only_oracle = only_theorem = ()
-    if oracle_side != theorem_side:
-        o, t = set(oracle_side), set(theorem_side)
+    # both sides ascending; only a difference becomes Python ints and index sets
+    if not np.array_equal(oracle_side, theorem_side):
+        o, t = set(oracle_side.tolist()), set(theorem_side.tolist())
         only_oracle = tuple(_index_sets(ctx.N, o - t))
         only_theorem = tuple(_index_sets(ctx.N, t - o))
     return ComparisonReport(

@@ -15,11 +15,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .digit_tables import PivotSet, enumerate_solutions
+from .digit_tables import PivotSet, solution_masks
 from .errors import ModulusMismatchError, PreconditionError
 from .fourier import Idempotent, idempotent_from_spectrum
-from .oracle import brute_force_solutions
-from .zn_core import IndexSet, ModulusContext
+from .oracle import _solution_masks
+from .zn_core import IndexSet, ModulusContext, _index_sets
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
     """Smallest nonempty J whose idempotent vanishes on all fragment differences.
 
     Ties break lexicographically.  Prime-power periods go through the
-    digit-table enumeration; other periods fall back to the exhaustive oracle.
+    digit-table solution masks; other periods fall back to the exhaustive
+    oracle.  Only the chosen J becomes an index set.
     """
     if strategy not in ("auto", "digit-tables", "oracle"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -102,16 +103,18 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
     use_tables = strategy == "digit-tables" or (strategy == "auto" and ctx.is_prime_power)
     if use_tables:
         mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required.members})
-        # every nonempty solution is a union of blocks of p^|mc| members
-        smallest = ctx.p ** len(mc)
-        candidates = [J for J in enumerate_solutions(ctx, mc, smallest) if J.members]
+        # every nonempty solution is a union of blocks of p^|mc| members, so
+        # the nonempty ones up to that size all have it
+        masks = [m for m in solution_masks(ctx, mc, ctx.p ** len(mc)) if m]
     else:
-        candidates = [
-            J for J in brute_force_solutions(N, required, "vanish-at-least") if J.members
-        ]
-    if not candidates:
+        masks = _solution_masks(N, required.members, "vanish-at-least", None, False)
+        # keep the least nonempty size in numpy: one fragment imposes no
+        # zero, and then the search returns every subset
+        sizes = np.bitwise_count(masks)
+        masks = masks[sizes == np.min(sizes, where=sizes > 0, initial=N + 1)].tolist()
+    if not masks:
         raise PreconditionError(f"no nonempty pattern vanishes on {required.members}")
-    best = min(candidates, key=lambda J: (len(J), J.members))
+    best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))
 
 

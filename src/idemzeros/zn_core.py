@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
 
 
@@ -125,8 +127,10 @@ class IndexSet:
         """A set whose members the library built as a strictly increasing tuple
         of residues in [0, modulus); skips the validation of __post_init__."""
         s = object.__new__(cls)
-        object.__setattr__(s, "modulus", modulus)
-        object.__setattr__(s, "members", members)
+        # the instance dict takes the fields without the frozen __setattr__
+        fields = s.__dict__
+        fields["modulus"] = modulus
+        fields["members"] = members
         return s
 
     @classmethod
@@ -163,18 +167,58 @@ class IndexSet:
         return cls.of(int(obj["N"]), obj["members"])
 
 
+# each byte's 8 bits in reverse order
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+# Up to this many masks, sorting member tuples beats the fixed cost of numpy.
+_TUPLE_SORT_MAX = 128
+
+# Masks go through numpy this many at a time, so that no second list of all
+# of them is held while the sets are yielded.
+_YIELD_CHUNK = 4096
+
+
+def _lex_ranks(modulus: int, masks: np.ndarray) -> np.ndarray:
+    """Rank of each int64 mask's member tuple in lexicographic order of all
+    subsets of Z_modulus, for modulus <= 62.
+
+    The rank is popcount(m) + rev(~m & (2^top - 1)), where top is m's highest
+    set bit and rev maps bit b to bit modulus - 1 - b: the empty tuple, the
+    prefixes of m's tuple, and the 2^(modulus - 1 - c) tuples that branch off
+    at each non-member c below top come first.  With r = rev(m), whose lowest
+    set bit is top's image, it equals 2^modulus + popcount(m) - r - (r & -r),
+    and 0 for the empty set; no float is involved.
+    """
+    r = _REVERSED_BYTES[masks.view(np.uint8)].view(np.uint64).byteswap()
+    r = (r >> np.uint64(64 - modulus)).astype(np.int64)
+    ranks = (1 << modulus) + np.bitwise_count(masks).astype(np.int64) - r - (r & -r)
+    ranks[masks == 0] = 0
+    return ranks
+
+
 def _index_sets(modulus: int, masks: list[int] | set[int]) -> Iterator[IndexSet]:
     """The masks as index sets, in lexicographic order of sorted members.
 
-    All member tuples are built and sorted first; each ``IndexSet`` is built
-    only when the caller asks for the next one.  Raises ValueError, before
-    yielding, when a mask has bits outside [0, modulus).
+    Up to 62 bits, a list longer than _TUPLE_SORT_MAX is copied into an int64
+    array and ordered by ``_lex_ranks`` with one argsort; member tuples are
+    built from the ordered masks a chunk at a time.  Wider or shorter inputs
+    sort their member tuples.  Each ``IndexSet`` is built only when the
+    caller asks for the next one.  Raises ValueError, before yielding, when a
+    mask has bits outside [0, modulus).
     """
     if masks and (min(masks) < 0 or max(masks) >> modulus):
         raise ValueError(f"masks have bits outside [0, {modulus})")
     tables = _byte_tables(modulus)
-    for members in sorted(_mask_members(mask, tables) for mask in masks):
-        yield IndexSet._unchecked(modulus, members)
+    if modulus > 62 or len(masks) <= _TUPLE_SORT_MAX:
+        for members in sorted(_mask_members(mask, tables) for mask in masks):
+            yield IndexSet._unchecked(modulus, members)
+        return
+    # rebinding drops this frame's reference to the input list
+    masks = np.fromiter(masks, np.int64, len(masks))
+    masks = masks[np.argsort(_lex_ranks(modulus, masks))]
+    for start in range(0, len(masks), _YIELD_CHUNK):
+        for mask in masks[start : start + _YIELD_CHUNK].tolist():
+            yield IndexSet._unchecked(modulus, _mask_members(mask, tables))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from idemzeros.digit_tables import PivotSet, solution_masks
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions, compare_with_theorem
-from idemzeros.zn_core import IndexSet, ModulusContext
+from idemzeros.zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec
 
 
 def test_n4_vanish_at_index_2():
@@ -104,6 +104,42 @@ def test_narrow_sums_with_larger_cyclotomic_coefficients():
     for n in range(N):
         flags = oracle._vanishes(N, masks, n)
         assert flags.tolist() == [is_zero(root_sum(N, (j * n for j in J))) for J in sets]
+
+
+def test_search_shares_first_zero_filter():
+    # every grid search for one modulus, in both call orders and both modes,
+    # equals a search that filters the full subset table zero by zero
+    def unshared(N, zeros, mode, cap):
+        masks = oracle._subset_masks(N, cap)
+        for n in range(N):
+            if n in zeros:
+                masks = masks[oracle._vanishes(N, masks, n)]
+            elif mode == "exact-zero-set":
+                masks = masks[~oracle._vanishes(N, masks, n)]
+        return masks
+
+    for N, cap in ((16, 16), (27, 4)):
+        ctx = ModulusContext.of(N)
+        zero_sets = [
+            expand_zero_spec(DivisorSpec.of(N, (ctx.p**l for l in mc))).members
+            for k in range(ctx.M + 1)
+            for mc in itertools.combinations(range(ctx.M), k)
+        ]
+        least = {min(zeros) for zeros in zero_sets if zeros}
+        assert len(least) == ctx.M
+        for mode in ("vanish-at-least", "exact-zero-set"):
+            expected = {zeros: unshared(N, zeros, mode, cap) for zeros in zero_sets}
+            for order in (zero_sets, zero_sets[::-1]):
+                oracle._search.cache_clear()
+                oracle._vanishing.cache_clear()
+                for zeros in order:
+                    got = oracle._search(N, zeros, mode, cap)
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, expected[zeros]), (N, zeros, mode)
+                # one full-table pass per least zero
+                assert oracle._vanishing.cache_info().currsize == len(least)
+                for n in least:
+                    assert not oracle._vanishing(N, cap, n).flags.writeable
 
 
 def test_guard_raises():

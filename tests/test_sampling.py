@@ -5,6 +5,7 @@ import pytest
 
 from idemzeros.errors import PreconditionError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
+from idemzeros.oracle import brute_force_solutions
 from idemzeros.sampling import (
     DiscreteSimulation,
     FragmentSet,
@@ -38,6 +39,17 @@ def test_design_strategies_agree():
         a = design_pattern(F, N, "digit-tables").pattern.offsets
         b = design_pattern(F, N, "oracle").pattern.offsets
         assert a == b
+
+
+def test_design_is_least_solution_by_size_then_members():
+    # the listed solutions, minimised by (size, members), are the reference
+    rng = random.Random(89)
+    for N in (6, 8, 9, 10, 12):
+        for _ in range(6):
+            F = FragmentSet.of(rng.sample(range(N - 2), rng.randint(1, 3)))
+            solutions = brute_force_solutions(N, required_zero_set(F, N))
+            best = min((J for J in solutions if J.members), key=lambda J: (len(J), J.members))
+            assert design_pattern(F, N).pattern.offsets == best, (N, F)
 
 
 def test_design_composite_period():

@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
+from idemzeros import zn_core
 from idemzeros.errors import InvalidDivisorError, ModulusMismatchError
 from idemzeros.zn_core import (
     DivisorSpec,
@@ -92,12 +94,48 @@ def test_from_mask_matches_validated_constructor():
         masks = [0, (1 << N) - 1, 1 << (N - 1)]
         masks += [rng.getrandbits(N) for _ in range(200)]
         masks += [sum(1 << i for i in rng.sample(range(N), min(N, 3))) for _ in range(50)]
-        for mask in masks:
-            s = IndexSet.from_mask(N, mask)
-            assert s == _validated(N, mask) and isinstance(s.members, tuple)
+        unchecked = [IndexSet.from_mask(N, mask) for mask in masks]
+        validated = [_validated(N, mask) for mask in masks]
+        for s, v, mask in zip(unchecked, validated, masks):
+            assert s == v and hash(s) == hash(v) and isinstance(s.members, tuple)
             assert s.mask == mask
+        # the dataclass order compares unchecked and validated sets alike
+        positions = range(len(masks))
+        assert sorted(positions, key=unchecked.__getitem__) == sorted(
+            positions, key=validated.__getitem__
+        )
+        assert not any(s < v or s > v for s, v in zip(unchecked, validated))
         expected = sorted((_validated(N, m) for m in set(masks)), key=lambda J: J.members)
         assert list(_index_sets(N, set(masks))) == expected
+    # the unchecked constructor writes the instance dict; the set stays frozen
+    s = IndexSet._unchecked(4, (1, 2))
+    with pytest.raises(FrozenInstanceError):
+        s.members = (0,)
+    with pytest.raises(FrozenInstanceError):
+        s.modulus = 5
+    assert s == IndexSet(4, (1, 2))
+
+
+def test_index_sets_order_matches_member_sort():
+    # every int64 width and two wider ones, list lengths either side of the
+    # tuple-sort cutoff, and list and set inputs
+    rng = random.Random(83)
+    cut = zn_core._TUPLE_SORT_MAX
+    for N in [*range(1, 65), 100, 300]:
+        for n in (0, 1, cut, cut + 1, 3 * cut):
+            masks = [rng.getrandbits(rng.randint(1, N)) for _ in range(n)]
+            expected = sorted(_validated(N, m).members for m in masks)
+            assert [J.members for J in _index_sets(N, masks)] == expected, (N, n)
+            unique = [J.members for J in _index_sets(N, set(masks))]
+            assert unique == sorted(set(expected)), (N, n)
+    # top bits 53..61 at N = 62, where a float log2 of the mask rounds up
+    N = 62
+    masks = [(1 << (top + 1)) - 1 for top in range(53, 62)]
+    masks += [(1 << top) | rng.getrandbits(top) for top in range(53, 62) for _ in range(30)]
+    masks += [(1 << top) | ((1 << (top - 1)) - 1) for top in range(53, 62)]
+    assert len(masks) > cut
+    expected = sorted(_validated(N, m).members for m in masks)
+    assert [J.members for J in _index_sets(N, masks)] == expected
 
 
 def test_index_sets_rejects_bits_outside_modulus():
