@@ -132,7 +132,7 @@ def brute_force_solutions(
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
     masks = _solution_masks(N, zeros.members, mode, max_cardinality, override_guard)
-    return list(_index_sets(N, masks.tolist()))
+    return list(_index_sets(N, masks))
 
 
 @dataclass(frozen=True)

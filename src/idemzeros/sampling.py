@@ -107,12 +107,14 @@ def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResu
         # the nonempty ones up to that size all have it
         masks = [m for m in solution_masks(ctx, mc, ctx.p ** len(mc)) if m]
     else:
-        masks = _solution_masks(N, required.members, "vanish-at-least", None, False)
+        masks = _solution_masks(
+            N, required.members, "vanish-at-least", max_cardinality=None, override_guard=False
+        )
         # keep the least nonempty size in numpy: one fragment imposes no
         # zero, and then the search returns every subset
         sizes = np.bitwise_count(masks)
-        masks = masks[sizes == np.min(sizes, where=sizes > 0, initial=N + 1)].tolist()
-    if not masks:
+        masks = masks[sizes == np.min(sizes, where=sizes > 0, initial=N + 1)]
+    if not len(masks):
         raise PreconditionError(f"no nonempty pattern vanishes on {required.members}")
     best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))

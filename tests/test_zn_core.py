@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,7 +119,7 @@ def test_from_mask_matches_validated_constructor():
 
 def test_index_sets_order_matches_member_sort():
     # every int64 width and two wider ones, list lengths either side of the
-    # tuple-sort cutoff, and list and set inputs
+    # tuple-sort cutoff, and list, set and array inputs
     rng = random.Random(83)
     cut = zn_core._TUPLE_SORT_MAX
     for N in [*range(1, 65), 100, 300]:
@@ -128,6 +129,9 @@ def test_index_sets_order_matches_member_sort():
             assert [J.members for J in _index_sets(N, masks)] == expected, (N, n)
             unique = [J.members for J in _index_sets(N, set(masks))]
             assert unique == sorted(set(expected)), (N, n)
+            array = np.array(masks, dtype=np.int64 if N <= 62 else object)
+            array.setflags(write=False)
+            assert [J.members for J in _index_sets(N, array)] == expected, (N, n)
     # top bits 53..61 at N = 62, where a float log2 of the mask rounds up
     N = 62
     masks = [(1 << (top + 1)) - 1 for top in range(53, 62)]
@@ -143,6 +147,8 @@ def test_index_sets_rejects_bits_outside_modulus():
     for masks in ([0b1001, 0b10000], [0b1, -1]):
         with pytest.raises(ValueError):
             next(_index_sets(4, masks))
+        with pytest.raises(ValueError):
+            next(_index_sets(4, np.array(masks)))
 
 
 def test_divisor_spec_validation():
