@@ -3,9 +3,11 @@ spectral-vs-tiling agreement report for prime-power moduli.
 
 A set J tiles Z_N with K iff the integer convolution of the indicators is the
 all-ones signal; equivalently |J||K| = N and the zero sets of the two
-idempotents jointly cover all nonzero indices.  J is spectral iff some
+idempotents jointly cover all nonzero indices, so partners come from the
+oracle's size-exact solution query at size N/|J|.  J is spectral iff some
 equally-sized row set I has all pairwise differences inside the zero set of
-h_J, which makes the corresponding square DFT submatrix unitary up to scaling.
+h_J, which makes the corresponding square DFT submatrix unitary up to scaling;
+one routine finds such an I and checks its Gram matrix.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
@@ -24,14 +26,14 @@ from typing import Iterator
 import numpy as np
 
 from .cyclotomic import power_residue_matrix, subset_sums
-from .digit_tables import PivotSet, enumerate_solutions
 from .errors import GuardExceededError, ModulusMismatchError
 from .fourier import idempotent_from_spectrum, zero_set
-from .oracle import brute_force_solutions
+from .oracle import _sized_solution_masks
 from .zn_core import (
     DivisorSpec,
     IndexSet,
     ModulusContext,
+    _index_sets,
     expand_zero_spec,
     proper_divisors,
 )
@@ -55,24 +57,13 @@ def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:
     return zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
 
 
-def _partner_candidates(N: int, required: tuple[int, ...], size: int) -> Iterator[IndexSet]:
-    ctx = ModulusContext.of(N)
-    if ctx.is_prime_power:
-        mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required})
-        yield from enumerate_solutions(ctx, mc, max_cardinality=size)
-    else:
-        yield from brute_force_solutions(
-            N, IndexSet(N, required), "vanish-at-least", max_cardinality=size
-        )
-
-
 def find_tiling_partners(J: IndexSet, max_results: int | None = None) -> Iterator[IndexSet]:
     """Partners K with 1_J * 1_K = all-ones, lexicographic order.
 
-    Candidates come from the zero-set machinery (the partner's idempotent must
-    vanish wherever h_J does not, away from 0) and are re-verified by the
-    integer convolution.  At most ``max_results`` partners are yielded; a
-    negative limit raises ValueError.
+    Candidates are the sets of N/|J| members whose idempotent vanishes
+    wherever h_J does not, away from 0, from the size-exact solution query;
+    each is re-verified by the integer convolution.  At most ``max_results``
+    partners are yielded; a negative limit raises ValueError.
     """
     if max_results is not None and max_results < 0:
         raise ValueError(f"max_results must be nonnegative, got {max_results}")
@@ -82,10 +73,8 @@ def find_tiling_partners(J: IndexSet, max_results: int | None = None) -> Iterato
     size = N // len(J)
     zeros = set(_exact_zero_members(J))
     required = tuple(n for n in range(1, N) if n not in zeros)
-    candidates = _partner_candidates(N, required, size)
-    yield from itertools.islice(
-        (K for K in candidates if len(K) == size and tiles(J, K)), max_results
-    )
+    candidates = _index_sets(N, _sized_solution_masks(N, required, (size,)))
+    yield from itertools.islice((K for K in candidates if tiles(J, K)), max_results)
 
 
 @dataclass(frozen=True)
@@ -115,23 +104,26 @@ def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | 
     return extend([0], sorted(z for z in zeros if z != 0))
 
 
+def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
+    """A row set making the DFT submatrix on columns J unitary up to scaling,
+    found among the differences in ``zeros``, the zero set of h_J; None when
+    there is none.  A witness that fails the Gram check raises AssertionError."""
+    N, size = J.modulus, len(J)
+    rows = _difference_clique(N, set(zeros), size)
+    if rows is None:
+        return None
+    M = np.exp(-2j * np.pi * np.outer(rows, J.members) / N)
+    if not np.allclose(M.conj().T @ M, size * np.eye(size), atol=1e-9):
+        raise AssertionError(f"witness {rows} failed the Gram check for J={J.members}")
+    return IndexSet(N, rows)
+
+
 def is_spectral(J: IndexSet) -> SpectralResult:
     """Search for a row set making the DFT submatrix on columns J unitary."""
-    N = J.modulus
-    size = len(J)
-    if size == 0:
-        return SpectralResult(True, IndexSet(N, ()))
-    zeros = set(_exact_zero_members(J))
-    witness = _difference_clique(N, zeros, size)
-    if witness is None:
-        return SpectralResult(False, None)
-    rows = np.array(witness)
-    cols = np.array(J.members)
-    M = np.exp(-2j * np.pi * np.outer(rows, cols) / N)
-    gram = M.conj().T @ M
-    if not np.allclose(gram, size * np.eye(size), atol=1e-9):
-        raise AssertionError(f"witness {witness} failed the Gram check for J={J.members}")
-    return SpectralResult(True, IndexSet(N, witness))
+    if len(J) == 0:
+        return SpectralResult(True, IndexSet(J.modulus, ()))
+    witness = _spectral_witness(J, _exact_zero_members(J))
+    return SpectralResult(witness is not None, witness)
 
 
 @dataclass(frozen=True)
@@ -202,25 +194,19 @@ def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
 
 def _check_class(ctx: ModulusContext, size: int, flags: tuple, rep_mask: int) -> ClassVerdict:
     N = ctx.N
-    divisors = proper_divisors(N)
-    D = tuple(d for d, f in zip(divisors, flags) if f)
-    zeros = expand_zero_spec(DivisorSpec.of(N, D))
+    D = tuple(d for d, f in zip(proper_divisors(N), flags) if f)
+    zeros = set(expand_zero_spec(DivisorSpec.of(N, D)).members)
     rep = IndexSet.from_mask(N, rep_mask)
-    witness_members = _difference_clique(N, set(zeros.members), size)
-    spectral = witness_members is not None
-    witness = IndexSet(N, witness_members) if spectral else None
+    witness = _spectral_witness(rep, zeros)
     partner = None
     if N % size == 0:
-        required = tuple(n for n in range(1, N) if n not in zeros.members)
-        for K in _partner_candidates(N, required, N // size):
-            if len(K) == N // size:
-                partner = K
-                break
+        required = tuple(n for n in range(1, N) if n not in zeros)
+        partner = next(_index_sets(N, _sized_solution_masks(N, required, (N // size,))), None)
         if partner is not None and not tiles(rep, partner):
             raise AssertionError(
                 f"partner {partner.members} fails the convolution check for {rep.members}"
             )
-    return ClassVerdict(size, D, spectral, partner is not None, rep, witness, partner)
+    return ClassVerdict(size, D, witness is not None, partner is not None, rep, witness, partner)
 
 
 def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> FugledeReport:

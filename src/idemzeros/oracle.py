@@ -10,19 +10,22 @@ sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
 cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
 of the mask, in int16 when a bound on every partial sum allows and in int64
 otherwise.  No structural theorem prunes the search, so results stay
-independent of the enumeration machinery they validate.
+independent of the enumeration machinery they validate.  Up to MASK_GUARD_N
+every cap passes, as none costs more than the full search; above it, a search
+needs override_guard unless a cap keeps it within COMBINATION_GUARD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
+from typing import Iterable
 
 import numpy as np
 
 from .cyclotomic import power_residue_matrix, subset_sums
-from .digit_tables import PivotSet, solution_masks
+from .digit_tables import PivotSet, _union_masks, mc_star, solution_masks
 from .errors import GuardExceededError
 from .zn_core import (
     DivisorSpec,
@@ -106,16 +109,14 @@ def _solution_masks(N, zeros, mode, max_cardinality, override_guard) -> np.ndarr
     """The cached search, once the guards have passed; they run before any work."""
     if mode not in ("vanish-at-least", "exact-zero-set"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = max_cardinality is None or (max_cardinality >= N and N <= MASK_GUARD_N)
     cap = N if max_cardinality is None else min(max_cardinality, N)
-    if full:
-        if N > MASK_GUARD_N and not override_guard:
+    if N > MASK_GUARD_N and not override_guard:
+        if max_cardinality is None:
             raise GuardExceededError(
                 f"full subset search needs 2^{N} masks; pass override_guard for N > {MASK_GUARD_N}"
             )
-    else:
         total = sum(comb(N, k) for k in range(cap + 1))
-        if total > COMBINATION_GUARD and not override_guard:
+        if total > COMBINATION_GUARD:
             raise GuardExceededError(
                 f"{total} subsets up to cardinality {cap} exceeds the search guard"
             )
@@ -179,3 +180,32 @@ def compare_with_theorem(
         only_oracle,
         only_theorem,
     )
+
+
+def _sized_solution_masks(
+    N: int, zeros: tuple[int, ...], sizes: Iterable[int], route: str = "auto"
+) -> np.ndarray | list[int]:
+    """Masks of the sets with exactly s members whose root sums vanish at
+    every index in ``zeros``, for the first s in ``sizes`` that has any, in no
+    particular order; empty when none has.  The one place that picks a route:
+    "auto" takes the digit tables at a prime-power N and the capped search
+    elsewhere.  Table solutions are unions of blocks of p^|mc| members, for
+    the pivot columns of the divisors gcd(n, N), so other sizes build nothing.
+    """
+    if route not in ("auto", "digit-tables", "oracle"):
+        raise ValueError(f"unknown strategy {route!r}")
+    ctx = ModulusContext.of(N)
+    if route == "digit-tables" or (route == "auto" and ctx.is_prime_power):
+        mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in zeros})
+        cols = mc_star(ctx.M, mc).columns
+        for size in (s for s in sizes if s % ctx.p ** len(mc) == 0):
+            if masks := _union_masks(ctx.p, ctx.M, cols, size).get(size):
+                return masks
+        return []
+    # masks wider than 62 bits are Python ints in an object array
+    count = np.bitwise_count if N <= 62 else np.frompyfunc(int.bit_count, 1, 1)
+    for size in sizes:
+        masks = _solution_masks(N, zeros, "vanish-at-least", size, False)
+        if len(masks := masks[count(masks) == size]):
+            return masks
+    return []

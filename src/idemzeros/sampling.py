@@ -9,17 +9,15 @@ circular grid of N*R bins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .digit_tables import PivotSet, solution_masks
 from .errors import ModulusMismatchError, PreconditionError
 from .fourier import Idempotent, idempotent_from_spectrum
-from .oracle import _solution_masks
-from .zn_core import IndexSet, ModulusContext, _index_sets
+from .oracle import _sized_solution_masks
+from .zn_core import IndexSet, _index_sets
 
 
 @dataclass(frozen=True)
@@ -92,30 +90,15 @@ def required_zero_set(F: FragmentSet, N: int) -> IndexSet:
 def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResult:
     """Smallest nonempty J whose idempotent vanishes on all fragment differences.
 
-    Ties break lexicographically.  Prime-power periods go through the
-    digit-table solution masks; other periods fall back to the exhaustive
-    oracle.  Only the chosen J becomes an index set.
+    Ties break lexicographically.  J has at least |F| members, as the vectors
+    (w^{jf})_{j in J} are pairwise orthogonal, and Z_N itself is a pattern,
+    so the oracle's size-exact solution query tries sizes from |F| to N, with
+    ``strategy`` as its route: digit tables at prime-power periods under
+    "auto", the capped exhaustive search elsewhere.  Only the chosen J
+    becomes an index set.
     """
-    if strategy not in ("auto", "digit-tables", "oracle"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     required = required_zero_set(F, N)
-    ctx = ModulusContext.of(N)
-    use_tables = strategy == "digit-tables" or (strategy == "auto" and ctx.is_prime_power)
-    if use_tables:
-        mc = PivotSet.from_divisors(ctx, {math.gcd(i, N) for i in required.members})
-        # every nonempty solution is a union of blocks of p^|mc| members, so
-        # the nonempty ones up to that size all have it
-        masks = [m for m in solution_masks(ctx, mc, ctx.p ** len(mc)) if m]
-    else:
-        masks = _solution_masks(
-            N, required.members, "vanish-at-least", max_cardinality=None, override_guard=False
-        )
-        # keep the least nonempty size in numpy: one fragment imposes no
-        # zero, and then the search returns every subset
-        sizes = np.bitwise_count(masks)
-        masks = masks[sizes == np.min(sizes, where=sizes > 0, initial=N + 1)]
-    if not len(masks):
-        raise PreconditionError(f"no nonempty pattern vanishes on {required.members}")
+    masks = _sized_solution_masks(N, required.members, range(len(F.fragments), N + 1), strategy)
     best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))
 

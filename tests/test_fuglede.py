@@ -1,9 +1,11 @@
+import itertools
 import random
 from math import comb
 
 import numpy as np
 import pytest
 
+from idemzeros import fuglede
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
     find_tiling_partners,
@@ -51,6 +53,19 @@ def test_partners_composite_modulus():
     partners = list(find_tiling_partners(IndexSet.of(6, [0, 3])))
     assert all(tiles(IndexSet.of(6, [0, 3]), K) for K in partners)
     assert IndexSet.of(6, [0, 2, 4]) in partners
+    # against every set of N/|J| members that tiles with J
+    rng = random.Random(67)
+    for N in (6, 10, 12, 14, 15):
+        sizes = [d for d in range(1, N + 1) if N % d == 0]
+        for J in [IndexSet.of(N, range(d)) for d in sizes] + [
+            IndexSet.of(N, rng.sample(range(N), rng.choice(sizes))) for _ in range(6)
+        ]:
+            expected = [
+                IndexSet(N, K)
+                for K in itertools.combinations(range(N), N // len(J))
+                if tiles(J, IndexSet(N, K))
+            ]
+            assert list(find_tiling_partners(J)) == expected, (N, J.members)
 
 
 def test_partner_limit():
@@ -133,6 +148,13 @@ def test_report_sets_checked_with_size_cap():
     report = fuglede_report(ModulusContext.of(9), max_set_size=4)
     assert report.sets_checked == sum(comb(9, k) for k in range(1, 5))
     assert {v.size for v in report.classes} == {1, 2, 3, 4}
+
+
+def test_report_witnesses_pass_the_gram_check(monkeypatch):
+    # a row set whose DFT submatrix is not unitary must not become a witness
+    monkeypatch.setattr(fuglede, "_difference_clique", lambda N, zeros, size: tuple(range(size)))
+    with pytest.raises(AssertionError, match="Gram check"):
+        fuglede_report(ModulusContext.of(8))
 
 
 def test_report_guards():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -83,6 +84,9 @@ def test_wide_modulus_capped_search():
         expected, key=lambda J: J.members
     )
     assert len(expected) == 1 + 50 * 50
+    # the size-exact query counts the bits of wide masks too
+    pairs = oracle._sized_solution_masks(N, zeros.members, (2,))
+    assert sorted(pairs.tolist()) == sorted(J.mask for J in expected if len(J) == 2)
 
 
 def test_narrow_sums_with_larger_cyclotomic_coefficients():
@@ -145,6 +149,29 @@ def test_search_shares_first_zero_filter():
 def test_guard_raises():
     with pytest.raises(GuardExceededError):
         brute_force_solutions(25, IndexSet.of(25, [5]))
+
+
+def test_guard_passes_every_cap_up_to_mask_guard(monkeypatch):
+    # no cap costs more than the full search, which passes up to MASK_GUARD_N
+    searched = []
+    monkeypatch.setattr(
+        oracle, "_search", lambda *key: searched.append(key) or np.zeros(0, np.int64)
+    )
+    N = oracle.MASK_GUARD_N
+    for cap in (None, 0, N // 2, N, N + 5):
+        assert brute_force_solutions(N, IndexSet.of(N, [12]), max_cardinality=cap) == []
+    assert [key[-1] for key in searched] == [N, 0, N // 2, N, N]
+    # above it, the two messages are unchanged and nothing is searched
+    searched.clear()
+    with pytest.raises(GuardExceededError) as full:
+        brute_force_solutions(25, IndexSet.of(25, [5]))
+    assert str(full.value) == "full subset search needs 2^25 masks; pass override_guard for N > 24"
+    for cap in (12, 25):
+        with pytest.raises(GuardExceededError) as capped:
+            brute_force_solutions(25, IndexSet.of(25, [5]), max_cardinality=cap)
+        total = sum(comb(25, k) for k in range(cap + 1))
+        assert str(capped.value) == f"{total} subsets up to cardinality {cap} exceeds the search guard"
+    assert searched == []
 
 
 def test_compare_with_theorem_small():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from idemzeros.cyclotomic import is_zero, root_sum
 from idemzeros.errors import PreconditionError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions
@@ -44,7 +45,7 @@ def test_design_strategies_agree():
 def test_design_is_least_solution_by_size_then_members():
     # the listed solutions, minimised by (size, members), are the reference
     rng = random.Random(89)
-    for N in (6, 8, 9, 10, 12):
+    for N in (6, 8, 9, 10, 12, 14, 15, 18):
         for _ in range(6):
             F = FragmentSet.of(rng.sample(range(N - 2), rng.randint(1, 3)))
             solutions = brute_force_solutions(N, required_zero_set(F, N))
@@ -57,6 +58,17 @@ def test_design_composite_period():
     required = required_zero_set(FragmentSet.of([0, 2]), 6)
     zeros = zero_set(idempotent_from_spectrum(result.pattern.offsets)).zero_set
     assert set(required.members) <= set(zeros.members)
+
+
+def test_design_past_the_full_search_guard():
+    # 30 is past the oracle's full-search guard; sizes 2 and 3 are searched
+    F = FragmentSet.of([0, 2])
+    result = design_pattern(F, 30)
+    assert result.pattern.offsets.members == (0, 5, 10)
+    for n in required_zero_set(F, 30).members:
+        assert is_zero(root_sum(30, (j * n for j in result.pattern.offsets.members)))
+    # one fragment imposes no zero, so the least pattern is a single offset
+    assert design_pattern(FragmentSet.of([3]), 24).pattern.offsets.members == (0,)
 
 
 def test_reconstruction_error_over_seeds():

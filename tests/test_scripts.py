@@ -17,12 +17,13 @@ def run_script(monkeypatch, capsys, name: str, *args: str) -> list[dict]:
 
 
 def test_sampling_sweep_through_the_oracle(monkeypatch, capsys):
-    # 12 is not a prime power, so its designs come from the exhaustive oracle
+    # 12 and 30 are not prime powers, so their designs come from the exhaustive
+    # oracle; 30 is past its full-search guard
     records = run_script(
-        monkeypatch, capsys, "sampling_sweep", "--fragments", "0,2", "0,1,3", "--periods", "8,12"
+        monkeypatch, capsys, "sampling_sweep", "--fragments", "0,2", "0,1,3", "--periods", "8,12,30"
     )
     designs = [row for r in records for row in r.get("designs", [])]
-    assert [row["N"] for row in designs] == [8, 12, 8, 12]
+    assert [row["N"] for row in designs] == [8, 12, 30, 8, 12, 30]
     assert not any("error" in row for row in designs)
 
 
