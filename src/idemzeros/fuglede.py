@@ -1,5 +1,5 @@
 """Tiling checks, tiling-partner search, spectral witnesses, and the
-spectral-vs-tiling agreement report for prime-power moduli.
+spectral-vs-tiling agreement report.
 
 A set J tiles Z_N with K iff the integer convolution of the indicators is the
 all-ones signal; equivalently |J||K| = N and the zero sets of the two
@@ -11,9 +11,11 @@ one routine finds such an I and checks its Gram matrix.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
-least mask.  One exact scan over all 2^N masks finds those masks: integer
-residue sums of the low and high bits of each mask are built by doubling, and
-a mask vanishes at a divisor iff its two halves' sums cancel exactly.
+least mask, and a class tiles iff some class of the complementary size
+vanishes at every divisor it does not.  One exact scan over all 2^N masks
+finds those masks: integer residue sums of the low and high bits of each mask
+are built by doubling, and a mask vanishes at a divisor iff its two halves'
+sums cancel exactly.
 """
 
 from __future__ import annotations
@@ -151,9 +153,8 @@ class FugledeReport:
     disagreements: tuple[ClassVerdict, ...]
 
 
-def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
-    """Least mask of every (size, divisor flags) class among nonempty sets of
-    at most ``max_size`` members.
+def _class_reps(N: int) -> dict[tuple, int]:
+    """Least mask of every (size, divisor flags) class of nonempty sets.
 
     Masks split into low and high bits.  At each proper divisor d, the exact
     residue sums of all low subsets and of the negated high subsets get common
@@ -184,7 +185,7 @@ def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
         new = np.flatnonzero(np.bincount(keys, minlength=n_keys).astype(bool) & ~seen)
         seen[new] = True
         for key in new.tolist():
-            if 0 < key & 255 <= max_size:
+            if key & 255:
                 reps[key] = high << low_bits | int(np.argmax(keys == key))
     return {
         (key & 255, tuple(bool(key >> (8 + i) & 1) for i in range(len(divisors)))): mask
@@ -192,20 +193,19 @@ def _class_reps(N: int, max_size: int) -> dict[tuple, int]:
     }
 
 
-def _check_class(ctx: ModulusContext, size: int, flags: tuple, rep_mask: int) -> ClassVerdict:
+def _check_class(ctx: ModulusContext, size: int, flags: tuple, reps: dict) -> ClassVerdict:
     N = ctx.N
     D = tuple(d for d, f in zip(proper_divisors(N), flags) if f)
     zeros = set(expand_zero_spec(DivisorSpec.of(N, D)).members)
-    rep = IndexSet.from_mask(N, rep_mask)
+    rep = IndexSet.from_mask(N, reps[size, flags])
     witness = _spectral_witness(rep, zeros)
-    partner = None
-    if N % size == 0:
-        required = tuple(n for n in range(1, N) if n not in zeros)
-        partner = next(_index_sets(N, _sized_solution_masks(N, required, (N // size,))), None)
-        if partner is not None and not tiles(rep, partner):
-            raise AssertionError(
-                f"partner {partner.members} fails the convolution check for {rep.members}"
-            )
+    # partners: the classes of N/size members that vanish wherever this one does not
+    covers = [m for (s, f), m in reps.items() if s * size == N and all(map(max, flags, f))]
+    partner = IndexSet.from_mask(N, min(covers)) if covers else None
+    if partner is not None and not tiles(rep, partner):
+        raise AssertionError(
+            f"partner {partner.members} fails the convolution check for {rep.members}"
+        )
     return ClassVerdict(size, D, witness is not None, partner is not None, rep, witness, partner)
 
 
@@ -214,19 +214,18 @@ def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> Fugl
 
     Sets are grouped into (size, zero-set divisors) classes, on which both
     predicates are constant; each class is decided once, on its least mask.
-    For prime-power N the expected disagreement list is empty.
+    Spectral and tiling sets coincide in every cyclic group of order at most
+    32, so the expected disagreement list is empty for every N the guard allows.
     """
     N = ctx.N
-    if not ctx.is_prime_power:
-        raise GuardExceededError(f"report requires a prime-power modulus, got {N}")
     if N > REPORT_GUARD_N:
         raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
     if max_set_size is None:
         max_set_size = N
     sets_checked = sum(math.comb(N, k) for k in range(1, max_set_size + 1))
+    reps = _class_reps(N)
     verdicts = tuple(
-        _check_class(ctx, size, flags, mask)
-        for (size, flags), mask in sorted(_class_reps(N, max_set_size).items())
+        _check_class(ctx, size, flags, reps) for size, flags in sorted(reps) if size <= max_set_size
     )
     disagreements = tuple(v for v in verdicts if not v.agrees)
     return FugledeReport(N, max_set_size, False, sets_checked, verdicts, disagreements)

@@ -8,11 +8,12 @@ cached apart, so searches that share their least zero share that pass; the
 other zeros, and the exact-mode indices, are tested on its survivors.  A root
 sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
 cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
-of the mask, in int16 when a bound on every partial sum allows and in int64
-otherwise.  No structural theorem prunes the search, so results stay
-independent of the enumeration machinery they validate.  Up to MASK_GUARD_N
-every cap passes, as none costs more than the full search; above it, a search
-needs override_guard unless a cap keeps it within COMBINATION_GUARD.
+of the mask, cached per (N, n), in int16 when a bound on every partial sum
+allows and in int64 otherwise.  No structural theorem prunes the search, so
+results stay independent of the enumeration machinery they validate.  Up to
+MASK_GUARD_N every cap passes, as none costs more than the full search; above
+it, a search needs override_guard unless a cap keeps it within
+COMBINATION_GUARD.
 """
 
 from __future__ import annotations
@@ -41,14 +42,25 @@ _CHUNK = 1 << 16
 _LIMB = 8
 
 
-def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
-    """Flags: does each mask's root sum vanish at index n?  Chunked over masks."""
+@lru_cache(maxsize=128)
+def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(low bit, table) per limb of _LIMB mask bits: the exact residue sums at
+    index n of every subset of the limb's positions; read-only, since the
+    cache shares them."""
     rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
     # every partial sum is bounded by the column sums of |rows|
     dtype = np.int16 if np.abs(rows).sum(axis=0).max() < 1 << 15 else np.int64
-    limbs = [
+    limbs = tuple(
         (lo, subset_sums(rows[lo : lo + _LIMB]).astype(dtype)) for lo in range(0, N, _LIMB)
-    ]
+    )
+    for _, table in limbs:
+        table.setflags(write=False)
+    return limbs
+
+
+def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
+    """Flags: does each mask's root sum vanish at index n?  Chunked over masks."""
+    limbs = _limb_tables(N, n)
     limb_mask = (1 << _LIMB) - 1
     flags = np.empty(len(masks), dtype=bool)
     for start in range(0, len(masks), _CHUNK):

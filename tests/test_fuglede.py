@@ -158,7 +158,24 @@ def test_report_witnesses_pass_the_gram_check(monkeypatch):
 
 
 def test_report_guards():
-    with pytest.raises(GuardExceededError):
-        fuglede_report(ModulusContext.of(12))
+    with pytest.raises(GuardExceededError, match="exceeds the report guard"):
+        fuglede_report(ModulusContext.of(33))
     with pytest.raises(GuardExceededError):
         fuglede_report(ModulusContext.of(49))
+
+
+def test_report_at_composite_moduli():
+    # spectral and tiling sets coincide in every cyclic group of order <= 32
+    for N in (1, 6, 12, 18, 20, 24):
+        report = fuglede_report(ModulusContext.of(N))
+        assert report.disagreements == (), N
+        for v in report.classes:
+            assert v.partner is None or tiles(v.representative, v.partner), (N, v)
+
+
+def test_report_tiling_matches_partner_search():
+    # the class-table partners against the size-exact zero-set route
+    for N in (8, 9, 12, 16, 18, 20):
+        for v in fuglede_report(ModulusContext.of(N)).classes:
+            found = next(find_tiling_partners(v.representative, 1), None) is not None
+            assert v.tiling == found, (N, v.representative.members)

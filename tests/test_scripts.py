@@ -28,6 +28,6 @@ def test_sampling_sweep_through_the_oracle(monkeypatch, capsys):
 
 
 def test_fuglede_scan(monkeypatch, capsys):
-    records = run_script(monkeypatch, capsys, "fuglede_scan", "--moduli", "4,8")
-    assert [r["N"] for r in records] == [4, 8]
+    records = run_script(monkeypatch, capsys, "fuglede_scan", "--moduli", "4,8,12")
+    assert [r["N"] for r in records] == [4, 8, 12]
     assert all(r["disagreements"] == 0 for r in records)
