@@ -51,7 +51,7 @@ def main():
     )
     parser.add_argument(
         "--periods",
-        default="4,8,9,12,16",
+        default="4,8,9,12,16,18,20,24,27,30,32,36,40,48,60,64",
         help="comma-separated candidate periods N",
     )
     args = parser.parse_args()

@@ -3,7 +3,9 @@
 A sum of roots is represented by its residue modulo the N-th cyclotomic
 polynomial, with arbitrary-precision integer coefficients.  This is the
 ground-truth arithmetic backend: a sum vanishes iff the residue polynomial is
-identically zero, with no tolerance anywhere.
+identically zero, with no tolerance anywhere.  ``root_sum`` adds one sum in
+Python ints; ``residue_sums`` adds many at once with numpy, in int64 where a
+bound shows no sum can overflow and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -100,8 +102,15 @@ def power_residues(N: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def power_residue_matrix(N: int) -> np.ndarray:
-    """power_residues as an int64 matrix, for vectorized bulk consumers."""
-    return np.array(power_residues(N), dtype=np.int64)
+    """power_residues as a matrix, for vectorized bulk consumers: in the
+    narrowest signed integer dtype that holds every coefficient, Python ints
+    beyond int64.  Consumers sum it into a wider dtype."""
+    rows = power_residues(N)
+    peak = max(abs(c) for row in rows for c in row)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if peak <= np.iinfo(dtype).max:
+            return np.array(rows, dtype=dtype)
+    return np.array(rows, dtype=object)
 
 
 def subset_sums(rows: np.ndarray) -> np.ndarray:
@@ -109,6 +118,35 @@ def subset_sums(rows: np.ndarray) -> np.ndarray:
     sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
     for row in rows:
         sums = np.concatenate([sums, sums + row])
+    return sums
+
+
+# One gather step of residue_sums holds at most about this many coefficients.
+_GATHER_ENTRIES = 1 << 20
+
+
+def residue_sums(N: int, exponents: np.ndarray) -> np.ndarray:
+    """Row i holds the coefficients of the exact residue of
+    sum_j w_N^{exponents[i, j]}: the sum of the rows of power_residue_matrix(N)
+    that row i of the 2-D array ``exponents`` selects, exponents taken mod N.
+
+    The sums are int64 when (row length) * max|coefficient| < 2^63 bounds every
+    partial sum, and Python ints in an object array otherwise.  Rows are
+    gathered in steps of at most about _GATHER_ENTRIES coefficients, so memory
+    stays bounded at any N.
+    """
+    table = power_residue_matrix(N)
+    exponents = np.asarray(exponents) % N
+    rows, width = exponents.shape
+    deg = table.shape[1]
+    wide = width * int(np.abs(table).max()) >= 1 << 63
+    sums = np.zeros((rows, deg), dtype=object if wide else np.int64)
+    step_cols = max(1, min(width, _GATHER_ENTRIES // deg))
+    step_rows = max(1, _GATHER_ENTRIES // (step_cols * deg))
+    for c in range(0, width, step_cols):
+        for r in range(0, rows, step_rows):
+            block = exponents[r : r + step_rows, c : c + step_cols]
+            sums[r : r + step_rows] += table[block].sum(axis=1, dtype=sums.dtype)
     return sums
 
 

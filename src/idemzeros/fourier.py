@@ -3,7 +3,9 @@
 Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
 h(0) = |J|/N.  Zero sets are computed exactly through the cyclotomic backend
-by default; float mode exists for speed and cross-checking.
+by default: one integer gather-sum of power residues tests every index at once,
+in int64 or Python ints as a bound requires.  Float mode exists for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import is_zero, root_sum
+from .cyclotomic import residue_sums
 from .errors import ModulusMismatchError
 from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, proper_divisors
 
@@ -105,14 +107,17 @@ def zero_set(h: Idempotent, mode: str = "exact", tol: float = 1e-9) -> ZeroSetRe
     The zero set of a nonzero idempotent is a disjoint union of gcd classes;
     the zero idempotent (empty spectrum) additionally vanishes at 0, which has
     no class below N, so 0 is accounted for separately in the structure check.
+
+    Exact mode sums the power residues of the exponents j*n mod N, j in J, for
+    all n at once with ``cyclotomic.residue_sums`` (int64 when a bound allows,
+    Python ints otherwise); n is a zero iff its residue sum is all zeros.
     """
     N = h.modulus
     J = h.spectrum.members
     zeros = []
     if mode == "exact":
-        for n in range(N):
-            if is_zero(root_sum(N, (j * n % N for j in J))):
-                zeros.append(n)
+        sums = residue_sums(N, np.outer(np.arange(N), np.array(J, dtype=np.int64)))
+        zeros = np.flatnonzero((sums == 0).all(axis=1)).tolist()
     elif mode == "float":
         for n in range(N):
             if abs(h.evaluate(n)) < tol:

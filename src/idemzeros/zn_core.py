@@ -291,8 +291,24 @@ def bracelet(s: IndexSet) -> frozenset[IndexSet]:
 
 
 def canonical_bracelet_rep(s: IndexSet) -> IndexSet:
-    """Lexicographically smallest member sequence over the bracelet of s."""
-    return min(bracelet(s), key=lambda t: t.members)
+    """Lexicographically smallest member sequence over the bracelet of s.
+
+    The least sequence contains 0, so it is one of the 2|s| translates that
+    move a member of s or of -s to 0.  Each is a rotation of the sorted
+    members minus that member mod N, which is sorted already.
+    """
+    N, members = s.modulus, s.members
+    if not members:
+        return s
+    # -s sorted: 0 stays first, then N - m for the other members in reverse
+    negated = members[:1] if members[0] == 0 else ()
+    negated += tuple(N - m for m in reversed(members) if m)
+    least = min(
+        tuple(x - m for x in seq[i:]) + tuple(x - m + N for x in seq[:i])
+        for seq in (members, negated)
+        for i, m in enumerate(seq)
+    )
+    return IndexSet._unchecked(N, least)
 
 
 def same_modulus(*sets: IndexSet) -> int:

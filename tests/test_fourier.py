@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from idemzeros import cyclotomic
+from idemzeros.cyclotomic import is_zero, root_sum
 from idemzeros.errors import ModulusMismatchError
 from idemzeros.fourier import (
     Signal,
@@ -100,6 +102,37 @@ def test_structure_ok_randomized():
         N = rng.randint(2, 16)
         J = random_index_set(rng, N)
         assert zero_set(idempotent_from_spectrum(J)).structure_ok
+
+
+def test_exact_zero_set_matches_scalar_root_sums(monkeypatch):
+    # the scalar reference: one exact root_sum per index n
+    def scalar_zeros(J):
+        N = J.modulus
+        return tuple(n for n in range(N) if is_zero(root_sum(N, (j * n % N for j in J))))
+
+    rng = random.Random(41)
+    cases = []
+    for N in range(1, 129):
+        cases.append(IndexSet.of(N, []))
+        for _ in range(3):
+            cases.append(IndexSet.of(N, rng.sample(range(N), rng.randint(1, min(N, 12)))))
+        # the full spectrum vanishes everywhere but 0
+        full = zero_set(idempotent_from_spectrum(IndexSet.of(N, range(N))), mode="exact")
+        assert full.zero_set.members == tuple(range(1, N)) and full.structure_ok
+    cases += [IndexSet.of(N, range(N)) for N in (1, 2, 12, 30, 64, 105, 127)]
+    # at N = 127, |J| = 127 even the default gather takes several steps
+    assert 127 * 127 * 126 > cyclotomic._GATHER_ENTRIES
+    # Phi_105 has a coefficient of -2
+    assert -2 in cyclotomic.cyclotomic_poly(105).coeffs
+    cases += [random_index_set(rng, 105) for _ in range(6)]
+    want = [scalar_zeros(J) for J in cases]
+    # the default gather steps, then steps small enough to split rows and columns
+    for entries in (cyclotomic._GATHER_ENTRIES, 1 << 12):
+        monkeypatch.setattr(cyclotomic, "_GATHER_ENTRIES", entries)
+        for J, zeros in zip(cases, want):
+            report = zero_set(idempotent_from_spectrum(J), mode="exact")
+            assert report.zero_set.members == zeros, J
+            assert report.structure_ok, J
 
 
 def test_exact_matches_float():

@@ -27,6 +27,19 @@ def test_sampling_sweep_through_the_oracle(monkeypatch, capsys):
     assert not any("error" in row for row in designs)
 
 
+def test_sampling_sweep_defaults(monkeypatch, capsys):
+    # every default fragment set designs at every default period, composite
+    # periods up to 64 included
+    records = run_script(monkeypatch, capsys, "sampling_sweep")
+    designs = [r for r in records if "designs" in r]
+    assert [r["fragments"] for r in designs] == [[0, 2], [0, 1, 3], [0, 3, 5]]
+    periods = [4, 8, 9, 12, 16, 18, 20, 24, 27, 30, 32, 36, 40, 48, 60, 64]
+    for r in designs:
+        feasible = [N for N in periods if N > max(r["fragments"]) + 1]
+        assert [row["N"] for row in r["designs"]] == feasible
+        assert not any("error" in row for row in r["designs"])
+
+
 def test_fuglede_scan(monkeypatch, capsys):
     records = run_script(monkeypatch, capsys, "fuglede_scan", "--moduli", "4,8,12")
     assert [r["N"] for r in records] == [4, 8, 12]

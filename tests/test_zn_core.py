@@ -206,6 +206,20 @@ def test_canonical_rep_constant_on_bracelet():
             assert canonical_bracelet_rep(member) == rep
 
 
+def test_canonical_rep_is_least_of_bracelet_orbit():
+    # the orbit minimum is the definition; the rep builds only 2|s| translates
+    rng = random.Random(13)
+    cases = [IndexSet.of(1, []), IndexSet.of(1, [0]), IndexSet.of(9, [])]
+    for _ in range(1000):
+        N = rng.randint(1, 40)
+        size = rng.choice([N, rng.randint(0, N), rng.randint(0, min(N, 8))])
+        cases.append(IndexSet.of(N, rng.sample(range(N), size)))
+    for s in cases:
+        rep = canonical_bracelet_rep(s)
+        assert rep == min(bracelet(s), key=lambda t: t.members), s
+        assert rep == IndexSet(rep.modulus, rep.members)
+
+
 def test_bracelet_examples_n8():
     b = bracelet(IndexSet.of(8, [0, 1]))
     assert IndexSet.of(8, [0, 7]) in b
