@@ -3,6 +3,11 @@
 Output is machine readable (JSON lines by default, CSV on request) and
 deterministic given the flags and seed.  Domain errors print a structured
 {code, message} object and exit 1; argparse usage errors exit 2.
+
+The exact-integer subcommands (``zeroset``, ``bracelet``, ``ramanujan eval``
+and ``fuglede tiles``) run without numpy.  ``oracle``, ``sampling`` and the
+other ``fuglede`` actions import their module inside the handler, after the
+arguments are validated, so that is when numpy loads.
 """
 
 from __future__ import annotations
@@ -13,21 +18,13 @@ import sys
 
 from .digit_tables import PivotSet, enumerate_solutions, from_index_set, is_solution
 from .errors import DomainError
-from .fuglede import find_tiling_partners, fuglede_report, is_spectral, tiles
-from .oracle import brute_force_solutions, compare_with_theorem
 from .ramanujan import ramanujan_direct
-from .sampling import (
-    DiscreteSimulation,
-    FragmentSet,
-    SamplingPattern,
-    design_pattern,
-    simulate,
-)
 from .zn_core import (
     IndexSet,
     ModulusContext,
     bracelet,
     canonical_bracelet_rep,
+    tiles,
 )
 
 
@@ -78,7 +75,10 @@ def _cmd_zeroset(args) -> int:
     if args.action == "enumerate":
         mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
         for J in enumerate_solutions(ctx, mc, max_cardinality=args.max_size):
-            if args.bracelet_reps and canonical_bracelet_rep(J) != J:
+            # a nonempty canonical rep contains 0, so only such J can be one
+            if args.bracelet_reps and J.members and (
+                J.members[0] != 0 or canonical_bracelet_rep(J) != J
+            ):
                 continue
             _emit_set(J, args.format)
         return 0
@@ -107,6 +107,8 @@ def _cmd_oracle(args) -> int:
     if args.action == "solve":
         mode = {"exact": "exact-zero-set", "at-least": "vanish-at-least"}[args.mode]
         zeros = _index_set(args.N, args.zeros)
+        from .oracle import brute_force_solutions
+
         for J in brute_force_solutions(
             args.N, zeros, mode, args.max_size, args.override_guard
         ):
@@ -114,6 +116,8 @@ def _cmd_oracle(args) -> int:
         return 0
     ctx = ModulusContext.of(args.N)
     mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
+    from .oracle import compare_with_theorem
+
     report = compare_with_theorem(ctx, mc, args.max_size, args.override_guard)
     _emit(
         {
@@ -140,7 +144,16 @@ def _cmd_ramanujan(args) -> int:
 
 
 def _cmd_sampling(args) -> int:
-    F = FragmentSet.of(_int_list(args.fragments))
+    fragments = _int_list(args.fragments)
+    from .sampling import (
+        DiscreteSimulation,
+        FragmentSet,
+        SamplingPattern,
+        design_pattern,
+        simulate,
+    )
+
+    F = FragmentSet.of(fragments)
     if args.action == "design":
         result = design_pattern(F, args.N, args.strategy)
         h = result.idempotent.time_domain().values
@@ -176,11 +189,15 @@ def _cmd_fuglede(args) -> int:
         return 0
     if args.action == "partners":
         J = _index_set(args.N, args.J)
+        from .fuglede import find_tiling_partners
+
         for K in find_tiling_partners(J, args.max_results):
             _emit_set(K, args.format)
         return 0
     if args.action == "spectral":
         J = _index_set(args.N, args.J)
+        from .fuglede import is_spectral
+
         result = is_spectral(J)
         _emit(
             {
@@ -191,6 +208,8 @@ def _cmd_fuglede(args) -> int:
         )
         return 0
     ctx = ModulusContext.of(args.N)
+    from .fuglede import fuglede_report
+
     report = fuglede_report(ctx, args.max_size)
     _emit(
         {

@@ -5,18 +5,22 @@ polynomial, with arbitrary-precision integer coefficients.  This is the
 ground-truth arithmetic backend: a sum vanishes iff the residue polynomial is
 identically zero, with no tolerance anywhere.  ``root_sum`` adds one sum in
 Python ints; ``residue_sums`` adds many at once with numpy, in int64 where a
-bound shows no sum can overflow and in Python ints otherwise.
+bound shows no sum can overflow and in Python ints otherwise.  Only the
+matrix routines (``power_residue_matrix``, ``subset_sums``, ``residue_sums``)
+load numpy, so the scalar route of ``root_sum`` and ``ramanujan`` runs without
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .zn_core import proper_divisors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,8 @@ def power_residue_matrix(N: int) -> np.ndarray:
     """power_residues as a matrix, for vectorized bulk consumers: in the
     narrowest signed integer dtype that holds every coefficient, Python ints
     beyond int64.  Consumers sum it into a wider dtype."""
+    import numpy as np
+
     rows = power_residues(N)
     peak = max(abs(c) for row in rows for c in row)
     for dtype in (np.int8, np.int16, np.int32, np.int64):
@@ -115,6 +121,8 @@ def power_residue_matrix(N: int) -> np.ndarray:
 
 def subset_sums(rows: np.ndarray) -> np.ndarray:
     """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
+    import numpy as np
+
     sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
     for row in rows:
         sums = np.concatenate([sums, sums + row])
@@ -135,6 +143,8 @@ def residue_sums(N: int, exponents: np.ndarray) -> np.ndarray:
     gathered in steps of at most about _GATHER_ENTRIES coefficients, so memory
     stays bounded at any N.
     """
+    import numpy as np
+
     table = power_residue_matrix(N)
     exponents = np.asarray(exponents) % N
     rows, width = exponents.shape

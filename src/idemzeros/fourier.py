@@ -4,8 +4,8 @@ Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
 h(0) = |J|/N.  Zero sets are computed exactly through the cyclotomic backend
 by default: one integer gather-sum of power residues tests every index at once,
-in int64 or Python ints as a bound requires.  Float mode exists for
-cross-checking.
+in int64 or Python ints as a bound requires.  Float mode, one inverse FFT of
+the spectrum's indicator, is the independent route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -111,17 +111,18 @@ def zero_set(h: Idempotent, mode: str = "exact", tol: float = 1e-9) -> ZeroSetRe
     Exact mode sums the power residues of the exponents j*n mod N, j in J, for
     all n at once with ``cyclotomic.residue_sums`` (int64 when a bound allows,
     Python ints otherwise); n is a zero iff its residue sum is all zeros.
+    Float mode takes h at all n from one inverse FFT of the indicator of J and
+    reads a zero wherever |h(n)| < tol.
     """
     N = h.modulus
     J = h.spectrum.members
-    zeros = []
     if mode == "exact":
         sums = residue_sums(N, np.outer(np.arange(N), np.array(J, dtype=np.int64)))
         zeros = np.flatnonzero((sums == 0).all(axis=1)).tolist()
     elif mode == "float":
-        for n in range(N):
-            if abs(h.evaluate(n)) < tol:
-                zeros.append(n)
+        indicator = np.zeros(N)
+        indicator[list(J)] = 1.0
+        zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < tol).tolist()
     else:
         raise ValueError(f"unknown mode {mode!r}")
     zset = IndexSet(N, tuple(zeros))

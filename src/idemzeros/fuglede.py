@@ -4,10 +4,12 @@ spectral-vs-tiling agreement report.
 A set J tiles Z_N with K iff the integer convolution of the indicators is the
 all-ones signal; equivalently |J||K| = N and the zero sets of the two
 idempotents jointly cover all nonzero indices, so partners come from the
-oracle's size-exact solution query at size N/|J|.  J is spectral iff some
-equally-sized row set I has all pairwise differences inside the zero set of
-h_J, which makes the corresponding square DFT submatrix unitary up to scaling;
-one routine finds such an I and checks its Gram matrix.
+oracle's size-exact solution query at size N/|J|.  The convolution check
+itself, ``tiles``, is pure set combinatorics; it lives in ``zn_core`` and is
+re-exported here.  J is spectral iff some equally-sized row set I has all
+pairwise differences inside the zero set of h_J, which makes the
+corresponding square DFT submatrix unitary up to scaling; one routine finds
+such an I and checks its Gram matrix.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
@@ -28,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .cyclotomic import power_residue_matrix, subset_sums
-from .errors import GuardExceededError, ModulusMismatchError
+from .errors import GuardExceededError
 from .fourier import idempotent_from_spectrum, zero_set
 from .oracle import _sized_solution_masks
 from .zn_core import (
@@ -38,21 +40,10 @@ from .zn_core import (
     _index_sets,
     expand_zero_spec,
     proper_divisors,
+    tiles,
 )
 
 REPORT_GUARD_N = 32
-
-
-def tiles(J: IndexSet, K: IndexSet) -> bool:
-    """Exact-cover check: every residue has exactly one representation j + k."""
-    if J.modulus != K.modulus:
-        raise ModulusMismatchError(f"moduli differ: {J.modulus} != {K.modulus}")
-    N = J.modulus
-    counts = [0] * N
-    for j in J.members:
-        for k in K.members:
-            counts[(j + k) % N] += 1
-    return all(c == 1 for c in counts)
 
 
 def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:

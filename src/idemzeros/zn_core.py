@@ -1,8 +1,10 @@
-"""Arithmetic and combinatorics on Z_N: gcd classes, divisor specs, bracelets.
+"""Arithmetic and combinatorics on Z_N: gcd classes, divisor specs, bracelets
+and the exact-cover tiling check.
 
 All values here are immutable; an ``IndexSet`` stores its members as a strictly
 sorted tuple so that set equality is plain sequence equality and output is
-deterministic.
+deterministic.  Everything here is plain Python except the ordering of long
+mask listings, which loads numpy when it first runs.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +170,12 @@ class IndexSet:
         return cls.of(int(obj["N"]), obj["members"])
 
 
-# each byte's 8 bits in reverse order
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+@lru_cache(maxsize=None)
+def _reversed_bytes() -> np.ndarray:
+    """Each byte's 8 bits in reverse order, as a uint8 lookup table."""
+    import numpy as np
+
+    return np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 # Up to this many masks, sorting member tuples beats the fixed cost of numpy.
 # Most listings are this short: 76%, 96% and 99% of those that the benchmark
@@ -191,7 +198,9 @@ def _lex_ranks(modulus: int, masks: np.ndarray) -> np.ndarray:
     set bit is top's image, it equals 2^modulus + popcount(m) - r - (r & -r),
     and 0 for the empty set; no float is involved.
     """
-    r = _REVERSED_BYTES[masks.view(np.uint8)].view(np.uint64).byteswap()
+    import numpy as np
+
+    r = _reversed_bytes()[masks.view(np.uint8)].view(np.uint64).byteswap()
     r = (r >> np.uint64(64 - modulus)).astype(np.int64)
     ranks = (1 << modulus) + np.bitwise_count(masks).astype(np.int64) - r - (r & -r)
     ranks[masks == 0] = 0
@@ -210,10 +219,11 @@ def _index_sets(
     at a time.  Wider or fewer masks sort their member tuples.  Each
     ``IndexSet`` is built only when the caller asks for the next one.  Raises
     ValueError, before yielding, when a mask has bits outside [0, modulus).
+    Only the int64 route loads numpy.
     """
     if not len(masks):
         return
-    is_array = isinstance(masks, np.ndarray)
+    is_array = not isinstance(masks, (list, set))
     lo, hi = (masks.min(), masks.max()) if is_array else (min(masks), max(masks))
     if lo < 0 or int(hi) >> modulus:
         raise ValueError(f"masks have bits outside [0, {modulus})")
@@ -224,6 +234,8 @@ def _index_sets(
         for members in sorted(_mask_members(mask, tables) for mask in masks):
             yield IndexSet._unchecked(modulus, members)
         return
+    import numpy as np
+
     if not is_array:
         # rebinding drops this frame's reference to the input list
         masks = np.fromiter(masks, np.int64, len(masks))
@@ -309,6 +321,18 @@ def canonical_bracelet_rep(s: IndexSet) -> IndexSet:
         for i, m in enumerate(seq)
     )
     return IndexSet._unchecked(N, least)
+
+
+def tiles(J: IndexSet, K: IndexSet) -> bool:
+    """Exact-cover check: every residue has exactly one representation j + k."""
+    if J.modulus != K.modulus:
+        raise ModulusMismatchError(f"moduli differ: {J.modulus} != {K.modulus}")
+    N = J.modulus
+    counts = [0] * N
+    for j in J.members:
+        for k in K.members:
+            counts[(j + k) % N] += 1
+    return all(c == 1 for c in counts)
 
 
 def same_modulus(*sets: IndexSet) -> int:

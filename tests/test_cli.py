@@ -1,8 +1,13 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+
+from idemzeros.cli import main
+from idemzeros.digit_tables import PivotSet, enumerate_solutions
+from idemzeros.zn_core import ModulusContext, canonical_bracelet_rep, proper_divisors
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -89,6 +94,21 @@ def test_bracelet_commands():
     assert json.loads(proc.stdout) == {"N": 8, "members": [0, 3]}
     proc = run_cli("bracelet", "orbit", "--N", "4", "--set", "0,1")
     assert len(lines(proc)) == 4
+
+
+@pytest.mark.parametrize("N", [8, 9, 16])
+def test_bracelet_reps_match_unfiltered_rule(N, capsys):
+    # the CLI skips sets without 0; the rule it must match tests every set
+    ctx = ModulusContext.of(N)
+    divisors = proper_divisors(N)
+    for k in range(len(divisors) + 1):
+        for chosen in itertools.combinations(divisors, k):
+            text = ",".join(map(str, chosen))
+            assert main(["zeroset", "enumerate", "--N", str(N), "--divisors", text, "--bracelet-reps"]) == 0
+            mc = PivotSet.from_divisors(ctx, chosen)
+            want = [J for J in enumerate_solutions(ctx, mc) if canonical_bracelet_rep(J) == J]
+            assert want[0].members == ()
+            assert capsys.readouterr().out == "".join(f"{json.dumps(J.to_json())}\n" for J in want)
 
 
 def test_csv_format():
