@@ -1,8 +1,9 @@
 """Command-line surface: every library operation behind one binary.
 
 Output is machine readable (JSON lines by default, CSV on request) and
-deterministic given the flags and seed.  Domain errors print a structured
-{code, message} object and exit 1; argparse usage errors exit 2.
+deterministic given the flags; ``sampling simulate``, the only subcommand
+that draws random numbers, takes them from ``--seed``.  Domain errors print a
+structured {code, message} object and exit 1; argparse usage errors exit 2.
 
 The exact-integer subcommands (``zeroset``, ``bracelet``, ``ramanujan eval``
 and ``fuglede tiles``) run without numpy.  ``oracle``, ``sampling`` and the
@@ -109,16 +110,14 @@ def _cmd_oracle(args) -> int:
         zeros = _index_set(args.N, args.zeros)
         from .oracle import brute_force_solutions
 
-        for J in brute_force_solutions(
-            args.N, zeros, mode, args.max_size, args.override_guard
-        ):
+        for J in brute_force_solutions(args.N, zeros, mode, args.max_size):
             _emit_set(J, args.format)
         return 0
     ctx = ModulusContext.of(args.N)
     mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
     from .oracle import compare_with_theorem
 
-    report = compare_with_theorem(ctx, mc, args.max_size, args.override_guard)
+    report = compare_with_theorem(ctx, mc, args.max_size)
     _emit(
         {
             "N": report.modulus,
@@ -155,7 +154,7 @@ def _cmd_sampling(args) -> int:
 
     F = FragmentSet.of(fragments)
     if args.action == "design":
-        result = design_pattern(F, args.N, args.strategy)
+        result = design_pattern(F, args.N)
         h = result.idempotent.time_domain().values
         _emit(
             {
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _common(default_format: str = "json") -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     common = _common()
@@ -285,13 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--zeros", default="")
     solve.add_argument("--mode", choices=("exact", "at-least"), default="at-least")
     solve.add_argument("--max-size", type=int, default=None)
-    solve.add_argument("--override-guard", action="store_true")
     solve.set_defaults(func=_cmd_oracle)
     cmp_ = orc.add_parser("compare", parents=[common])
     cmp_.add_argument("--N", type=int, required=True)
     cmp_.add_argument("--divisors", default="")
     cmp_.add_argument("--max-size", type=int, default=None)
-    cmp_.add_argument("--override-guard", action="store_true")
     cmp_.set_defaults(func=_cmd_oracle)
 
     ram = top.add_parser("ramanujan", help="Ramanujan sums").add_subparsers(
@@ -308,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     des = smp.add_parser("design", parents=[common])
     des.add_argument("--fragments", required=True)
     des.add_argument("--N", type=int, required=True)
-    des.add_argument("--strategy", choices=("auto", "digit-tables", "oracle"), default="auto")
     des.set_defaults(func=_cmd_sampling)
     simp = smp.add_parser("simulate", parents=[common])
     simp.add_argument("--fragments", required=True)
     simp.add_argument("--N", type=int, required=True)
     simp.add_argument("--J", required=True)
     simp.add_argument("--oversample", type=int, default=16)
+    simp.add_argument("--seed", type=int, default=0)
     simp.set_defaults(func=_cmd_sampling)
 
     fug = top.add_parser("fuglede", help="tiling and spectral checks").add_subparsers(

@@ -292,10 +292,12 @@ def solution_masks(
     each once, in no particular order.  Includes the empty set (mask 0).
 
     Raises GuardExceededError, before building them, when the masks would take
-    more than ENUMERATION_GUARD bits.
+    more than ENUMERATION_GUARD bits, and ValueError on a negative cap.
     """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
+    if max_cardinality is not None and max_cardinality < 0:
+        raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = ctx.N if max_cardinality is None else max_cardinality
     star = mc_star(ctx.M, mc)
     return [m for masks in _union_masks(ctx.p, ctx.M, star.columns, cap).values() for m in masks]

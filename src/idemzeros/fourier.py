@@ -19,6 +19,9 @@ from .cyclotomic import residue_sums
 from .errors import ModulusMismatchError
 from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, proper_divisors
 
+# float comparisons count a DFT value or h(n) this close to its target as equal
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -86,10 +89,10 @@ def idempotent_from_spectrum(J: IndexSet) -> Idempotent:
     return Idempotent(J)
 
 
-def is_idempotent(x: Signal, tol: float = 1e-9) -> bool:
-    """True iff every DFT value of x is within tol of 0 or 1."""
+def is_idempotent(x: Signal) -> bool:
+    """True iff every DFT value of x is within TOL of 0 or 1."""
     spec = dft(x).to_numpy()
-    return bool(np.all(np.minimum(np.abs(spec), np.abs(spec - 1)) < tol))
+    return bool(np.all(np.minimum(np.abs(spec), np.abs(spec - 1)) < TOL))
 
 
 def circular_convolution(x: Signal, y: Signal) -> Signal:
@@ -101,7 +104,7 @@ def circular_convolution(x: Signal, y: Signal) -> Signal:
     return Signal(N, tuple(out))
 
 
-def zero_set(h: Idempotent, mode: str = "exact", tol: float = 1e-9) -> ZeroSetReport:
+def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     """Zero set of h, its divisor part, and the gcd-class structure check.
 
     The zero set of a nonzero idempotent is a disjoint union of gcd classes;
@@ -112,7 +115,7 @@ def zero_set(h: Idempotent, mode: str = "exact", tol: float = 1e-9) -> ZeroSetRe
     all n at once with ``cyclotomic.residue_sums`` (int64 when a bound allows,
     Python ints otherwise); n is a zero iff its residue sum is all zeros.
     Float mode takes h at all n from one inverse FFT of the indicator of J and
-    reads a zero wherever |h(n)| < tol.
+    reads a zero wherever |h(n)| < TOL.
     """
     N = h.modulus
     J = h.spectrum.members
@@ -122,7 +125,7 @@ def zero_set(h: Idempotent, mode: str = "exact", tol: float = 1e-9) -> ZeroSetRe
     elif mode == "float":
         indicator = np.zeros(N)
         indicator[list(J)] = 1.0
-        zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < tol).tolist()
+        zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < TOL).tolist()
     else:
         raise ValueError(f"unknown mode {mode!r}")
     zset = IndexSet(N, tuple(zeros))

@@ -213,6 +213,8 @@ def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> Fugl
         raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
     if max_set_size is None:
         max_set_size = N
+    if max_set_size < 0:
+        raise ValueError(f"max_set_size must be >= 0, got {max_set_size}")
     sets_checked = sum(math.comb(N, k) for k in range(1, max_set_size + 1))
     reps = _class_reps(N)
     verdicts = tuple(

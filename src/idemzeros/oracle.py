@@ -10,10 +10,9 @@ sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
 cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
 of the mask, cached per (N, n), in int16 when a bound on every partial sum
 allows and in int64 otherwise.  No structural theorem prunes the search, so
-results stay independent of the enumeration machinery they validate.  Up to
-MASK_GUARD_N every cap passes, as none costs more than the full search; above
-it, a search needs override_guard unless a cap keeps it within
-COMBINATION_GUARD.
+results stay independent of the enumeration machinery they validate.  One
+guard, with no override, refuses before any work a search of more than
+SEARCH_GUARD subsets, as many as the full search at N = 24 tests.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .zn_core import (
     expand_zero_spec,
 )
 
-MASK_GUARD_N = 24
-COMBINATION_GUARD = 8_000_000
+SEARCH_GUARD = 1 << 24
 _CHUNK = 1 << 16
 _LIMB = 8
 
@@ -117,18 +115,19 @@ def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
     return masks
 
 
-def _solution_masks(N, zeros, mode, max_cardinality, override_guard) -> np.ndarray:
-    """The cached search, once the guards have passed; they run before any work."""
+def _solution_masks(N, zeros, mode, max_cardinality) -> np.ndarray:
+    """The cached search, once the guard has passed; it runs before any work."""
     if mode not in ("vanish-at-least", "exact-zero-set"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_cardinality is not None and max_cardinality < 0:
+        raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = N if max_cardinality is None else min(max_cardinality, N)
-    if N > MASK_GUARD_N and not override_guard:
-        if max_cardinality is None:
-            raise GuardExceededError(
-                f"full subset search needs 2^{N} masks; pass override_guard for N > {MASK_GUARD_N}"
-            )
-        total = sum(comb(N, k) for k in range(cap + 1))
-        if total > COMBINATION_GUARD:
+    # only where 2^N > SEARCH_GUARD can a search exceed it; the full search is
+    # counted as the power "2^N", as its N-bit total is slow to build and too
+    # long to print at a large N
+    if N >= SEARCH_GUARD.bit_length():
+        total = f"2^{N}" if cap == N else sum(comb(N, k) for k in range(cap + 1))
+        if cap == N or total > SEARCH_GUARD:
             raise GuardExceededError(
                 f"{total} subsets up to cardinality {cap} exceeds the search guard"
             )
@@ -140,11 +139,10 @@ def brute_force_solutions(
     zeros: IndexSet,
     mode: str = "vanish-at-least",
     max_cardinality: int | None = None,
-    override_guard: bool = False,
 ) -> list[IndexSet]:
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
-    masks = _solution_masks(N, zeros.members, mode, max_cardinality, override_guard)
+    masks = _solution_masks(N, zeros.members, mode, max_cardinality)
     return list(_index_sets(N, masks))
 
 
@@ -167,14 +165,13 @@ def compare_with_theorem(
     ctx: ModulusContext,
     mc: PivotSet,
     max_cardinality: int | None = None,
-    override_guard: bool = False,
 ) -> ComparisonReport:
     """Symmetric difference between the brute-force solution set and the
     digit-table enumeration, over subsets up to the cardinality cap."""
     cap = ctx.N if max_cardinality is None else max_cardinality
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     zeros = expand_zero_spec(spec)
-    oracle_side = _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap, override_guard)
+    oracle_side = _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap)
     theorem_side = np.array(solution_masks(ctx, mc, cap), dtype=oracle_side.dtype)
     theorem_side.sort()
     only_oracle = only_theorem = ()
@@ -195,19 +192,17 @@ def compare_with_theorem(
 
 
 def _sized_solution_masks(
-    N: int, zeros: tuple[int, ...], sizes: Iterable[int], route: str = "auto"
+    N: int, zeros: tuple[int, ...], sizes: Iterable[int]
 ) -> np.ndarray | list[int]:
     """Masks of the sets with exactly s members whose root sums vanish at
     every index in ``zeros``, for the first s in ``sizes`` that has any, in no
-    particular order; empty when none has.  The one place that picks a route:
-    "auto" takes the digit tables at a prime-power N and the capped search
+    particular order; empty when none has.  The one place that picks a route,
+    from N: the digit tables at a prime-power N and the capped search
     elsewhere.  Table solutions are unions of blocks of p^|mc| members, for
     the pivot columns of the divisors gcd(n, N), so other sizes build nothing.
     """
-    if route not in ("auto", "digit-tables", "oracle"):
-        raise ValueError(f"unknown strategy {route!r}")
     ctx = ModulusContext.of(N)
-    if route == "digit-tables" or (route == "auto" and ctx.is_prime_power):
+    if ctx.is_prime_power:
         mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in zeros})
         cols = mc_star(ctx.M, mc).columns
         for size in (s for s in sizes if s % ctx.p ** len(mc) == 0):
@@ -217,7 +212,7 @@ def _sized_solution_masks(
     # masks wider than 62 bits are Python ints in an object array
     count = np.bitwise_count if N <= 62 else np.frompyfunc(int.bit_count, 1, 1)
     for size in sizes:
-        masks = _solution_masks(N, zeros, "vanish-at-least", size, False)
+        masks = _solution_masks(N, zeros, "vanish-at-least", size)
         if len(masks := masks[count(masks) == size]):
             return masks
     return []

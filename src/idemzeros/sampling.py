@@ -87,18 +87,17 @@ def required_zero_set(F: FragmentSet, N: int) -> IndexSet:
     return IndexSet.of(N, diffs)
 
 
-def design_pattern(F: FragmentSet, N: int, strategy: str = "auto") -> DesignResult:
+def design_pattern(F: FragmentSet, N: int) -> DesignResult:
     """Smallest nonempty J whose idempotent vanishes on all fragment differences.
 
     Ties break lexicographically.  J has at least |F| members, as the vectors
     (w^{jf})_{j in J} are pairwise orthogonal, and Z_N itself is a pattern,
-    so the oracle's size-exact solution query tries sizes from |F| to N, with
-    ``strategy`` as its route: digit tables at prime-power periods under
-    "auto", the capped exhaustive search elsewhere.  Only the chosen J
-    becomes an index set.
+    so the oracle's size-exact solution query tries sizes from |F| to N.  The
+    period picks its route: digit tables when N is a prime power, the capped
+    exhaustive search otherwise.  Only the chosen J becomes an index set.
     """
     required = required_zero_set(F, N)
-    masks = _sized_solution_masks(N, required.members, range(len(F.fragments), N + 1), strategy)
+    masks = _sized_solution_masks(N, required.members, range(len(F.fragments), N + 1))
     best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))
 
@@ -130,7 +129,7 @@ def simulate(
     spectrum = np.zeros(grid, dtype=complex)
     spectrum[bins] = rng.standard_normal(len(bins)) + 1j * rng.standard_normal(len(bins))
     h = idempotent_from_spectrum(pattern.offsets)
-    hvals = [h.evaluate(k) for k in range(N)]
+    hvals = h.time_domain().values
     sampled = np.zeros(grid, dtype=complex)
     for k in range(N):
         sampled += hvals[k] * np.roll(spectrum, k * R)

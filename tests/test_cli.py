@@ -149,6 +149,36 @@ def test_invalid_input_is_an_error_object(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("zeroset", "enumerate", "--N", "8", "--max-size", "-1"),
+        ("oracle", "solve", "--N", "8", "--zeros", "4", "--max-size", "-1"),
+        ("oracle", "compare", "--N", "8", "--divisors", "4", "--max-size", "-2"),
+        ("fuglede", "report", "--N", "8", "--max-size", "-1"),
+    ],
+)
+def test_negative_max_size_is_invalid(args, capsys):
+    assert main(list(args)) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["code"] == "invalid-value" and ">= 0" in obj["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sampling", "design", "--fragments", "0,2", "--N", "4", "--strategy", "oracle"),
+        ("oracle", "solve", "--N", "25", "--zeros", "5", "--override-guard"),
+        ("zeroset", "check", "--N", "4", "--divisors", "2", "--set", "0,1", "--seed", "3"),
+    ],
+)
+def test_removed_flags_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_partners_max_results_bounds():
     proc = run_cli("fuglede", "partners", "--N", "8", "--J", "0", "--max-results", "0")
     assert proc.returncode == 0 and proc.stdout == ""

@@ -151,26 +151,31 @@ def test_guard_raises():
         brute_force_solutions(25, IndexSet.of(25, [5]))
 
 
-def test_guard_passes_every_cap_up_to_mask_guard(monkeypatch):
-    # no cap costs more than the full search, which passes up to MASK_GUARD_N
+def test_guard_is_one_rule_on_subsets(monkeypatch):
+    # one guard on the subsets searched: every cap passes at N = 24, whose full
+    # search is SEARCH_GUARD subsets; above it only a cap that stays within passes
     searched = []
     monkeypatch.setattr(
         oracle, "_search", lambda *key: searched.append(key) or np.zeros(0, np.int64)
     )
-    N = oracle.MASK_GUARD_N
-    for cap in (None, 0, N // 2, N, N + 5):
-        assert brute_force_solutions(N, IndexSet.of(N, [12]), max_cardinality=cap) == []
-    assert [key[-1] for key in searched] == [N, 0, N // 2, N, N]
-    # above it, the two messages are unchanged and nothing is searched
+    assert oracle.SEARCH_GUARD == 1 << 24
+    for cap in (None, 0, 12, 24, 29):
+        assert brute_force_solutions(24, IndexSet.of(24, [12]), max_cardinality=cap) == []
+    # sum_{k <= 12} C(25, k) = 2^24 exactly
+    assert brute_force_solutions(25, IndexSet.of(25, [5]), max_cardinality=12) == []
+    assert [(key[0], key[-1]) for key in searched] == [
+        (24, 24), (24, 0), (24, 12), (24, 24), (24, 24), (25, 12)
+    ]
     searched.clear()
-    with pytest.raises(GuardExceededError) as full:
-        brute_force_solutions(25, IndexSet.of(25, [5]))
-    assert str(full.value) == "full subset search needs 2^25 masks; pass override_guard for N > 24"
-    for cap in (12, 25):
-        with pytest.raises(GuardExceededError) as capped:
+    # cap 13, and no cap: the one message, and nothing searched
+    for cap, shown, total in ((13, 13, sum(comb(25, k) for k in range(14))), (None, 25, "2^25")):
+        with pytest.raises(GuardExceededError) as exceeded:
             brute_force_solutions(25, IndexSet.of(25, [5]), max_cardinality=cap)
-        total = sum(comb(25, k) for k in range(cap + 1))
-        assert str(capped.value) == f"{total} subsets up to cardinality {cap} exceeds the search guard"
+        message = f"{total} subsets up to cardinality {shown} exceeds the search guard"
+        assert str(exceeded.value) == message
+    # a full search is counted as "2^N", never as an N-bit total too long to print
+    with pytest.raises(GuardExceededError, match=r"^2\^1000000 subsets up to cardinality 1000000 "):
+        brute_force_solutions(10**6, IndexSet.of(10**6, []))
     assert searched == []
 
 

@@ -34,27 +34,21 @@ def test_design_example():
     assert np.allclose(h, np.array([2, 1 + 1j, 0, 1 - 1j]) / 4, atol=1e-12)
 
 
-def test_design_strategies_agree():
-    for fragments, N in (((0, 2), 4), ((0, 1), 8), ((0, 3), 9)):
-        F = FragmentSet.of(fragments)
-        a = design_pattern(F, N, "digit-tables").pattern.offsets
-        b = design_pattern(F, N, "oracle").pattern.offsets
-        assert a == b
-
-
 def test_design_is_least_solution_by_size_then_members():
     # the listed solutions, minimised by (size, members), are the reference
+    # the prime powers 4, 8, 9 and 16 take the digit tables, the rest the search
     rng = random.Random(89)
-    for N in (6, 8, 9, 10, 12, 14, 15, 18):
+    for N in (6, 8, 9, 10, 12, 14, 15, 18, 4, 16):
         for _ in range(6):
-            F = FragmentSet.of(rng.sample(range(N - 2), rng.randint(1, 3)))
+            size = rng.randint(1, 3)
+            F = FragmentSet.of(rng.sample(range(N - 2), min(size, N - 2)))
             solutions = brute_force_solutions(N, required_zero_set(F, N))
             best = min((J for J in solutions if J.members), key=lambda J: (len(J), J.members))
             assert design_pattern(F, N).pattern.offsets == best, (N, F)
 
 
 def test_design_composite_period():
-    result = design_pattern(FragmentSet.of([0, 2]), 6, "oracle")
+    result = design_pattern(FragmentSet.of([0, 2]), 6)
     required = required_zero_set(FragmentSet.of([0, 2]), 6)
     zeros = zero_set(idempotent_from_spectrum(result.pattern.offsets)).zero_set
     assert set(required.members) <= set(zeros.members)
