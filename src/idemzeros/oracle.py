@@ -36,6 +36,8 @@ from .zn_core import (
 )
 
 SEARCH_GUARD = 1 << 24
+# Python's default limit on the digits of an int it prints
+_PRINTABLE_DIGITS = 4300
 _CHUNK = 1 << 16
 _LIMB = 8
 
@@ -122,16 +124,33 @@ def _solution_masks(N, zeros, mode, max_cardinality) -> np.ndarray:
     if max_cardinality is not None and max_cardinality < 0:
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = N if max_cardinality is None else min(max_cardinality, N)
-    # only where 2^N > SEARCH_GUARD can a search exceed it; the full search is
-    # counted as the power "2^N", as its N-bit total is slow to build and too
-    # long to print at a large N
+    # only where 2^N > SEARCH_GUARD can a search exceed it
     if N >= SEARCH_GUARD.bit_length():
-        total = f"2^{N}" if cap == N else sum(comb(N, k) for k in range(cap + 1))
-        if cap == N or total > SEARCH_GUARD:
+        total = _subset_count(N, cap)
+        if isinstance(total, str) or total > SEARCH_GUARD:
             raise GuardExceededError(
                 f"{total} subsets up to cardinality {cap} exceeds the search guard"
             )
     return _search(N, tuple(zeros), mode, cap)
+
+
+def _subset_count(N: int, cap: int) -> int | str:
+    """The number of subsets of Z_N with at most ``cap`` members, for the
+    guard's message: the exact total while Python can print it, and otherwise
+    the text "more than 2^b", summed no further; the full search is the text
+    "2^N".  So the count's time is bounded by the digit limit, not by N."""
+    if cap == N:
+        return f"2^{N}"
+    # built per call: a module-level bound this size raised the peak RSS of
+    # processes that never count, through where it landed on the heap
+    unprintable = 10**_PRINTABLE_DIGITS
+    total = term = 1
+    for k in range(cap):
+        term = term * (N - k) // (k + 1)  # C(N, k + 1)
+        total += term
+        if total >= unprintable:
+            return f"more than 2^{(total - 1).bit_length() - 1}"
+    return total
 
 
 def brute_force_solutions(

@@ -2,7 +2,8 @@
 
 Two independent exact routes are provided: the authoritative one sums roots of
 unity through the cyclotomic backend; a Moebius divisor-sum identity serves as
-an internal cross-check.
+an internal cross-check.  Since c_q(k) = c_q(gcd(k, q)), the root sum is taken
+once per divisor of q and cached.
 """
 
 from __future__ import annotations
@@ -35,13 +36,22 @@ def _constant_value(N: int, exponents) -> int:
     return coeffs[0] if coeffs else 0
 
 
-@lru_cache(maxsize=None)
 def ramanujan_direct(q: int, k: int) -> int:
-    """c_q(k) = sum of w_q^{nk} over n in Z_q coprime to q, evaluated exactly."""
+    """c_q(k) = sum of w_q^{nk} over n in Z_q coprime to q, evaluated exactly.
+
+    c_q(k) = c_q(gcd(k, q)): as n runs over the units of Z_q, n*k and
+    n*gcd(k, q) run over the same exponents mod q.  So the exact sum is taken,
+    and cached, once per divisor of q.
+    """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    k %= q
-    return _constant_value(q, (n * k % q for n in range(q) if math.gcd(n, q) == 1))
+    return _unit_root_sum(q, math.gcd(k, q))
+
+
+@lru_cache(maxsize=None)
+def _unit_root_sum(q: int, g: int) -> int:
+    """Sum of w_q^{ng} over the units n of Z_q, for a divisor g of q."""
+    return _constant_value(q, (n * g % q for n in range(q) if math.gcd(n, q) == 1))
 
 
 def ramanujan_prime_power(p: int, m: int, k: int) -> int:

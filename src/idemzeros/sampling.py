@@ -4,7 +4,9 @@ A signal with unit-width spectral fragments at integer offsets F is sampled
 with offsets J inside a period of length N.  Aliases cancel exactly when the
 idempotent built from J vanishes on all pairwise fragment differences; the
 simulation discretizes the spectrum to R bins per unit and checks this on a
-circular grid of N*R bins.
+circular grid of N*R bins.  It reads only the |F|*R fragment bins, gathered
+once for every shift, so it costs O(N*|F|*R); a simulation of more than
+SIMULATION_GUARD gathered bins is refused before any work.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ModulusMismatchError, PreconditionError
+from .errors import GuardExceededError, ModulusMismatchError, PreconditionError
 from .fourier import Idempotent, idempotent_from_spectrum
 from .oracle import _sized_solution_masks
 from .zn_core import IndexSet, _index_sets
+
+SIMULATION_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,10 @@ def simulate(
     The sampled spectrum is the idempotent-weighted sum of the base spectrum
     over all N circular shifts of R bins; fragment bins divided by h(0) must
     reproduce the original when the pattern's zero set covers the fragment
-    differences.
+    differences.  Only the fragment bins are read: one gather gives an
+    N x |F|*R array whose row k holds them shifted by k*R, and the sum and
+    the alias energies are taken over its rows.  GuardExceededError, before
+    any random draw, when that array would exceed SIMULATION_GUARD entries.
     """
     N, R = pattern.modulus, sim.oversampling
     if not F.fragments:
@@ -123,20 +130,25 @@ def simulate(
         raise ModulusMismatchError(f"pattern period {N} too small for fragments {F.fragments}")
     if not pattern.offsets.members:
         raise PreconditionError("pattern has no sample offsets")
-    rng = np.random.default_rng(sim.seed)
+    width = len(F.fragments) * R
+    if N * width > SIMULATION_GUARD:
+        raise GuardExceededError(
+            f"{N * width} shifted fragment bins exceed the simulation guard"
+        )
     grid = N * R
     bins = _fragment_bins(F, R)
+    rng = np.random.default_rng(sim.seed)
     spectrum = np.zeros(grid, dtype=complex)
     spectrum[bins] = rng.standard_normal(len(bins)) + 1j * rng.standard_normal(len(bins))
     h = idempotent_from_spectrum(pattern.offsets)
     hvals = h.time_domain().values
-    sampled = np.zeros(grid, dtype=complex)
+    # row k holds the fragment bins of the spectrum shifted by k*R
+    rows = spectrum[(bins - R * np.arange(N)[:, None]) % grid]
+    sampled = np.zeros(len(bins), dtype=complex)
     for k in range(N):
-        sampled += hvals[k] * np.roll(spectrum, k * R)
-    recovered = sampled[bins] / hvals[0]
-    max_error = float(np.max(np.abs(recovered - spectrum[bins])))
-    alias_energy = {}
-    for k in range(1, N):
-        shifted = np.roll(spectrum, k * R)[bins]
-        alias_energy[k] = float(abs(hvals[k]) ** 2 * np.sum(np.abs(shifted) ** 2))
+        sampled += hvals[k] * rows[k]
+    recovered = sampled / hvals[0]
+    max_error = float(np.max(np.abs(recovered - rows[0])))
+    energies = np.sum(np.abs(rows) ** 2, axis=1)
+    alias_energy = {k: float(abs(hvals[k]) ** 2 * energies[k]) for k in range(1, N)}
     return SimulationReport(max_error, alias_energy)

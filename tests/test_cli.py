@@ -167,6 +167,23 @@ def test_negative_max_size_is_invalid(args, capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ("sampling", "simulate", "--fragments", "0", "--N", "100000", "--J", "0",
+         "--oversample", "100000"),
+        ("oracle", "solve", "--N", "20000", "--zeros", "1", "--max-size", "19999"),
+    ],
+)
+def test_guard_refusals_are_error_objects(args, capsys, monkeypatch):
+    # a simulation that passed its guard would fail here, at the random draw
+    import numpy as np
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("simulated"))
+    assert main(list(args)) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["code"] == "guard-exceeded" and obj["message"].endswith(" guard")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("sampling", "design", "--fragments", "0,2", "--N", "4", "--strategy", "oracle"),
         ("oracle", "solve", "--N", "25", "--zeros", "5", "--override-guard"),
         ("zeroset", "check", "--N", "4", "--divisors", "2", "--set", "0,1", "--seed", "3"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb
 
 import numpy as np
@@ -177,6 +178,26 @@ def test_guard_is_one_rule_on_subsets(monkeypatch):
     with pytest.raises(GuardExceededError, match=r"^2\^1000000 subsets up to cardinality 1000000 "):
         brute_force_solutions(10**6, IndexSet.of(10**6, []))
     assert searched == []
+
+
+def test_guard_refuses_a_large_cap_at_once(monkeypatch):
+    # the count stops once its total has more digits than Python prints, so
+    # refusing takes no longer at a larger N; below that, the exact total
+    monkeypatch.setattr(oracle, "_search", lambda *key: pytest.fail("searched"))
+    cases = (
+        (14000, 13999, str(2**14000 - 1)),
+        (14285, 14284, "more than 2^14284"),
+        (20000, 19999, "more than 2^14284"),
+        (10**6, 3, str(sum(comb(10**6, k) for k in range(4)))),
+        (10**6, 10**6 - 1, "more than 2^14292"),
+    )
+    for N, cap, total in cases:
+        start = time.perf_counter()
+        with pytest.raises(GuardExceededError) as exceeded:
+            brute_force_solutions(N, IndexSet.of(N, [1]), max_cardinality=cap)
+        assert time.perf_counter() - start < 1, (N, cap)
+        message = f"{total} subsets up to cardinality {cap} exceeds the search guard"
+        assert str(exceeded.value) == message
 
 
 def test_compare_with_theorem_small():

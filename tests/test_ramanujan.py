@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from idemzeros import ramanujan
 from idemzeros.digit_tables import PivotSet, enumerate_solutions
 from idemzeros.errors import InvalidDivisorError
 from idemzeros.ramanujan import (
@@ -74,3 +77,27 @@ def test_annihilation_on_enumerated_solutions():
                 continue
             for shift in range(N):
                 assert annihilation_check(J, dprime, shift)
+
+
+def unit_root_sum(q, k):
+    """Reference: c_q(k) from the exponents n*k mod q, uncached."""
+    return ramanujan._constant_value(q, (n * k % q for n in range(q) if math.gcd(n, q) == 1))
+
+
+def test_direct_is_the_uncached_sum_over_the_unreduced_exponents():
+    # the exponents n*k mod q depend on k mod q only, so one reference per residue
+    for q in range(1, 131):
+        reference = [unit_root_sum(q, k) for k in range(q)]
+        ks = list(range(-2 * q, 3 * q)) + [s * (10**6 + d) for s in (1, -1) for d in range(-3, 4)]
+        for k in ks:
+            assert ramanujan_direct(q, k) == reference[k % q], (q, k)
+
+
+def test_cache_holds_one_entry_per_divisor():
+    for q in (1, 30, 64, 97, 120):
+        ramanujan._unit_root_sum.cache_clear()
+        for k in range(-q, 2 * q):
+            ramanujan_direct(q, k)
+        ramanujan_direct(q, 10**6 + 1)
+        divisors = sum(1 for d in range(1, q + 1) if q % d == 0)
+        assert ramanujan._unit_root_sum.cache_info().currsize == divisors, q

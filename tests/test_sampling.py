@@ -1,21 +1,45 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from idemzeros import sampling
 from idemzeros.cyclotomic import is_zero, root_sum
-from idemzeros.errors import PreconditionError
+from idemzeros.errors import GuardExceededError, PreconditionError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions
 from idemzeros.sampling import (
     DiscreteSimulation,
     FragmentSet,
     SamplingPattern,
+    _fragment_bins,
     design_pattern,
     required_zero_set,
     simulate,
 )
 from idemzeros.zn_core import IndexSet
+
+
+def simulate_by_rolls(F, pattern, sim):
+    """Reference: the sampled spectrum from N rolls of the whole N*R grid."""
+    N, R = pattern.modulus, sim.oversampling
+    rng = np.random.default_rng(sim.seed)
+    grid = N * R
+    bins = _fragment_bins(F, R)
+    spectrum = np.zeros(grid, dtype=complex)
+    spectrum[bins] = rng.standard_normal(len(bins)) + 1j * rng.standard_normal(len(bins))
+    hvals = idempotent_from_spectrum(pattern.offsets).time_domain().values
+    sampled = np.zeros(grid, dtype=complex)
+    for k in range(N):
+        sampled += hvals[k] * np.roll(spectrum, k * R)
+    recovered = sampled[bins] / hvals[0]
+    max_error = float(np.max(np.abs(recovered - spectrum[bins])))
+    alias_energy = {}
+    for k in range(1, N):
+        shifted = np.roll(spectrum, k * R)[bins]
+        alias_energy[k] = float(abs(hvals[k]) ** 2 * np.sum(np.abs(shifted) ** 2))
+    return max_error, alias_energy
 
 
 def test_required_zero_set():
@@ -119,3 +143,57 @@ def test_simulation_rejects_bad_inputs():
     for oversampling in (0, -2):
         with pytest.raises(PreconditionError):
             DiscreteSimulation(oversampling=oversampling)
+
+
+def test_simulation_bit_identical_to_rolled_grid():
+    # every F in range(4) at every period up to 32, with the designed and a
+    # random pattern; the designs at 22 and 26 are left out, as their
+    # size-exact searches take seconds
+    rng = random.Random(13)
+    cases = 0
+    for size in range(1, 5):
+        for fragments in itertools.combinations(range(4), size):
+            F = FragmentSet.of(fragments)
+            for N in range(max(fragments) + 2, 33):
+                patterns = [SamplingPattern(N, IndexSet.of(N, rng.sample(range(N), rng.randint(1, N))))]
+                if N not in (22, 26):
+                    patterns.append(design_pattern(F, N).pattern)
+                for pattern in patterns:
+                    sim = DiscreteSimulation(rng.choice((1, 3, 8, 16)), rng.randrange(100))
+                    report = simulate(F, pattern, sim)
+                    max_error, alias_energy = simulate_by_rolls(F, pattern, sim)
+                    assert repr(report.max_error) == repr(max_error), (F, pattern, sim)
+                    assert list(report.alias_energy) == list(alias_energy)
+                    assert [repr(e) for e in report.alias_energy.values()] == [
+                        repr(e) for e in alias_energy.values()
+                    ], (F, pattern, sim)
+                    cases += 1
+    assert cases == 832
+
+
+def test_simulation_guard_refuses_before_any_work(monkeypatch):
+    # the random draw comes after the guard, so a missing guard fails here
+    # before anything of the size of the gather is allocated
+    class Drawn(Exception):
+        pass
+
+    def draw(seed):
+        raise Drawn
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    assert sampling.SIMULATION_GUARD == 1 << 24
+    # N * |F| * R = 2^24 gathered bins pass the guard
+    pattern = SamplingPattern(1 << 12, IndexSet.of(1 << 12, [0]))
+    with pytest.raises(Drawn):
+        simulate(FragmentSet.of([0, 1]), pattern, DiscreteSimulation(1 << 11))
+    for N, fragments, R in (
+        (1 << 12, [0, 1], (1 << 11) + 1),
+        ((1 << 12) + 1, [0, 3], 1 << 11),
+        (10**5, [0], 10**5),
+    ):
+        pattern = SamplingPattern(N, IndexSet.of(N, [0]))
+        with pytest.raises(GuardExceededError) as exceeded:
+            simulate(FragmentSet.of(fragments), pattern, DiscreteSimulation(R))
+        assert str(exceeded.value) == (
+            f"{N * len(fragments) * R} shifted fragment bins exceed the simulation guard"
+        )
