@@ -9,8 +9,13 @@ other zeros, and the exact-mode indices, are tested on its survivors.  A root
 sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
 cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
 of the mask, cached per (N, n), in int16 when a bound on every partial sum
-allows and in int64 otherwise.  No structural theorem prunes the search, so
-results stay independent of the enumeration machinery they validate.  One
+allows and in int64 otherwise.  Next to each table the cache entry holds its
+fingerprints: each residue's dot product with fixed odd pseudo-random weights,
+wrapped mod 2^64.  The fingerprint is linear, so a vanishing sum has
+fingerprint 0; the fingerprints are added first, one int64 per limb and mask,
+and the exact residues only at masks whose fingerprint is 0, which they
+decide.  No structural theorem prunes the search, so results stay independent
+of the enumeration machinery they validate.  One
 guard, with no override, refuses before any work a search of more than
 SEARCH_GUARD subsets, as many as the full search at N = 24 tests.
 """
@@ -42,31 +47,51 @@ _CHUNK = 1 << 16
 _LIMB = 8
 
 
+def _fingerprint_weights(width: int) -> np.ndarray:
+    """Odd int64 weights, one per residue column: splitmix64 of the column
+    index, computed in uint64, where the products wrap mod 2^64."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return (z ^ z >> np.uint64(31) | np.uint64(1)).view(np.int64)
+
+
 @lru_cache(maxsize=128)
-def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """(low bit, table) per limb of _LIMB mask bits: the exact residue sums at
-    index n of every subset of the limb's positions; read-only, since the
-    cache shares them."""
+def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """(low bit, table, fingerprints) per limb of _LIMB mask bits: the exact
+    residue sums at index n of every subset of the limb's positions, and each
+    sum's dot product with _fingerprint_weights, wrapped mod 2^64; read-only,
+    since the cache shares them."""
     rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
     # every partial sum is bounded by the column sums of |rows|
     dtype = np.int16 if np.abs(rows).sum(axis=0).max() < 1 << 15 else np.int64
-    limbs = tuple(
-        (lo, subset_sums(rows[lo : lo + _LIMB]).astype(dtype)) for lo in range(0, N, _LIMB)
-    )
-    for _, table in limbs:
+    weights = _fingerprint_weights(rows.shape[1])
+    limbs = []
+    for lo in range(0, N, _LIMB):
+        table = subset_sums(rows[lo : lo + _LIMB])
+        limbs.append((lo, table.astype(dtype), table @ weights))
+    for _, table, fingerprints in limbs:
         table.setflags(write=False)
-    return limbs
+        fingerprints.setflags(write=False)
+    return tuple(limbs)
 
 
 def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
-    """Flags: does each mask's root sum vanish at index n?  Chunked over masks."""
+    """Flags: does each mask's root sum vanish at index n?  Chunked over masks.
+
+    A vanishing sum has fingerprint 0, as the fingerprint is linear mod 2^64,
+    so the fingerprints, one int64 per limb and mask, rule out most masks; the
+    exact sums are added only at masks whose fingerprint is 0, and decide."""
     limbs = _limb_tables(N, n)
     limb_mask = (1 << _LIMB) - 1
-    flags = np.empty(len(masks), dtype=bool)
+    flags = np.zeros(len(masks), dtype=bool)
     for start in range(0, len(masks), _CHUNK):
         chunk = masks[start : start + _CHUNK]
-        sums = sum(table[(chunk >> lo & limb_mask).astype(np.intp)] for lo, table in limbs)
-        flags[start : start + _CHUNK] = ~sums.any(axis=1)
+        indices = [(chunk >> lo & limb_mask).astype(np.intp) for lo, _, _ in limbs]
+        fingerprint = sum(fp[i] for (_, _, fp), i in zip(limbs, indices))
+        candidates = np.flatnonzero(fingerprint == 0)
+        sums = sum(table[i[candidates]] for (_, table, _), i in zip(limbs, indices))
+        flags[start + candidates] = ~sums.any(axis=1)
     return flags
 
 

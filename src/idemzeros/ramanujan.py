@@ -3,7 +3,9 @@
 Two independent exact routes are provided: the authoritative one sums roots of
 unity through the cyclotomic backend; a Moebius divisor-sum identity serves as
 an internal cross-check.  Since c_q(k) = c_q(gcd(k, q)), the root sum is taken
-once per divisor of q and cached.
+once per divisor of q and cached.  A root sum over Z_q builds the power
+residues mod q, q * phi(q) coefficients; one guard, with no override, refuses
+before any work a q for which they exceed RESIDUE_GUARD.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import root_sum
-from .errors import InvalidDivisorError
+from .errors import GuardExceededError, InvalidDivisorError
 from .zn_core import IndexSet, factorize
+
+RESIDUE_GUARD = 1 << 24
 
 
 def euler_phi(q: int) -> int:
@@ -28,7 +32,14 @@ def is_prime(n: int) -> bool:
 
 
 def _constant_value(N: int, exponents) -> int:
-    """Exact integer value of a root-of-unity sum known to be rational."""
+    """Exact integer value of a root-of-unity sum known to be rational.
+    GuardExceededError, before any work, when the power residues mod N would
+    hold more than RESIDUE_GUARD coefficients; as phi(N) >= 1, an N past the
+    guard is refused before it is factorized."""
+    if N > RESIDUE_GUARD or N * euler_phi(N) > RESIDUE_GUARD:
+        raise GuardExceededError(
+            f"{N} * phi({N}) power-residue coefficients exceed the residue guard"
+        )
     el = root_sum(N, exponents)
     coeffs = el.residue.coeffs
     if len(coeffs) > 1:

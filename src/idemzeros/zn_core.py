@@ -105,7 +105,7 @@ def _mask_members(mask: int, tables: tuple[_ByteTable, ...]) -> tuple[int, ...]:
     return members
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IndexSet:
     """A finite subset of Z_N, stored as a strictly sorted member tuple."""
 
@@ -130,10 +130,8 @@ class IndexSet:
         """A set whose members the library built as a strictly increasing tuple
         of residues in [0, modulus); skips the validation of __post_init__."""
         s = object.__new__(cls)
-        # the instance dict takes the fields without the frozen __setattr__
-        fields = s.__dict__
-        fields["modulus"] = modulus
-        fields["members"] = members
+        object.__setattr__(s, "modulus", modulus)
+        object.__setattr__(s, "members", members)
         return s
 
     @classmethod

@@ -170,12 +170,16 @@ def test_negative_max_size_is_invalid(args, capsys):
         ("sampling", "simulate", "--fragments", "0", "--N", "100000", "--J", "0",
          "--oversample", "100000"),
         ("oracle", "solve", "--N", "20000", "--zeros", "1", "--max-size", "19999"),
+        ("ramanujan", "eval", "--q", "1000000", "--k", "1"),
     ],
 )
 def test_guard_refusals_are_error_objects(args, capsys, monkeypatch):
-    # a simulation that passed its guard would fail here, at the random draw
+    # a simulation or root sum that passed its guard would fail here, at the
+    # random draw or at the sum
     import numpy as np
+    from idemzeros import ramanujan
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("simulated"))
+    monkeypatch.setattr(ramanujan, "root_sum", lambda *args: pytest.fail("summed"))
     assert main(list(args)) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["code"] == "guard-exceeded" and obj["message"].endswith(" guard")

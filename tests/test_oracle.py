@@ -111,6 +111,50 @@ def test_narrow_sums_with_larger_cyclotomic_coefficients():
         assert flags.tolist() == [is_zero(root_sum(N, (j * n for j in J))) for J in sets]
 
 
+def dense_vanishes(N, masks, n):
+    """Reference: every mask's exact residue sum, gathered and added in full."""
+    limbs = oracle._limb_tables(N, n)
+    flags = np.empty(len(masks), dtype=bool)
+    for start in range(0, len(masks), 1 << 16):
+        chunk = masks[start : start + (1 << 16)]
+        sums = sum(table[(chunk >> lo & 255).astype(np.intp)] for lo, table, _ in limbs)
+        flags[start : start + (1 << 16)] = ~sums.any(axis=1)
+    return flags
+
+
+def vanish_cases(full_up_to, cap27):
+    """(N, masks): every subset at N <= full_up_to, N = 27 up to cap27
+    members, and N = 63 and 100, whose masks are Python ints, up to 2."""
+    for N in range(1, full_up_to + 1):
+        yield N, oracle._subset_masks(N, N)
+    yield 27, oracle._subset_masks(27, cap27)
+    for N in (63, 100):
+        yield N, oracle._subset_masks(N, 2)
+
+
+def test_vanishes_matches_dense_sums():
+    # the fingerprints only rule masks out, so the flags are the dense ones
+    for N, masks in vanish_cases(20, 6):
+        for n in range(N):
+            got = oracle._vanishes(N, masks, n)
+            assert np.array_equal(got, dense_vanishes(N, masks, n)), (N, n)
+
+
+def test_vanishes_without_fingerprints(monkeypatch):
+    # with every fingerprint 0 every mask is a candidate, and the exact sums
+    # alone decide
+    limb_tables = oracle._limb_tables
+    monkeypatch.setattr(
+        oracle,
+        "_limb_tables",
+        lambda N, n: tuple((lo, t, np.zeros_like(fp)) for lo, t, fp in limb_tables(N, n)),
+    )
+    for N, masks in vanish_cases(12, 4):
+        for n in range(N):
+            got = oracle._vanishes(N, masks, n)
+            assert np.array_equal(got, dense_vanishes(N, masks, n)), (N, n)
+
+
 def test_search_shares_first_zero_filter():
     # every grid search for one modulus, in both call orders and both modes,
     # equals a search that filters the full subset table zero by zero

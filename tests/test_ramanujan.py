@@ -4,7 +4,7 @@ import pytest
 
 from idemzeros import ramanujan
 from idemzeros.digit_tables import PivotSet, enumerate_solutions
-from idemzeros.errors import InvalidDivisorError
+from idemzeros.errors import GuardExceededError, InvalidDivisorError
 from idemzeros.ramanujan import (
     annihilation_check,
     euler_phi,
@@ -101,3 +101,38 @@ def test_cache_holds_one_entry_per_divisor():
         ramanujan_direct(q, 10**6 + 1)
         divisors = sum(1 for d in range(1, q + 1) if q % d == 0)
         assert ramanujan._unit_root_sum.cache_info().currsize == divisors, q
+
+
+def test_residue_guard_refuses_before_any_work(monkeypatch):
+    # the root sum is stubbed to stop a passing call there; the guard counts
+    # q * phi(q) coefficients, and a q past the guard is never factorized
+    class Summed(Exception):
+        pass
+
+    def root_sum(N, exponents):
+        raise Summed
+
+    factorized = []
+    factorize = ramanujan.factorize
+    monkeypatch.setattr(ramanujan, "factorize", lambda n: factorized.append(n) or factorize(n))
+    monkeypatch.setattr(ramanujan, "root_sum", root_sum)
+    ramanujan._unit_root_sum.cache_clear()
+    assert ramanujan.RESIDUE_GUARD == 1 << 24
+    # 4093 and 4099 are prime: 4093 * 4092 <= 2^24 < 4099 * 4098
+    calls = (
+        lambda q: ramanujan_direct(q, 1),
+        lambda q: gcd_class_exponential_sum(q, 1, 1),
+        lambda q: annihilation_check(IndexSet.of(q, [0, 1]), q, 0),
+    )
+    for call in calls:
+        with pytest.raises(Summed):
+            call(4093)
+        for q in (4099, 10**6, (1 << 24) + 1, 10**30):
+            factorized.clear()
+            with pytest.raises(GuardExceededError) as exceeded:
+                call(q)
+            assert str(exceeded.value) == (
+                f"{q} * phi({q}) power-residue coefficients exceed the residue guard"
+            )
+            assert all(n <= 1 << 24 for n in factorized), q
+    assert ramanujan._unit_root_sum.cache_info().currsize == 0

@@ -172,8 +172,9 @@ def test_simulation_bit_identical_to_rolled_grid():
 
 
 def test_simulation_guard_refuses_before_any_work(monkeypatch):
-    # the random draw comes after the guard, so a missing guard fails here
-    # before anything of the size of the gather is allocated
+    # the random draw and the evaluation of h come after the guard, so a
+    # missing guard fails here before anything of the size of the gather is
+    # allocated, or any of the N * |J| terms of h is taken
     class Drawn(Exception):
         pass
 
@@ -181,6 +182,9 @@ def test_simulation_guard_refuses_before_any_work(monkeypatch):
         raise Drawn
 
     monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(
+        sampling.Idempotent, "time_domain", lambda self: pytest.fail("evaluated")
+    )
     assert sampling.SIMULATION_GUARD == 1 << 24
     # N * |F| * R = 2^24 gathered bins pass the guard
     pattern = SamplingPattern(1 << 12, IndexSet.of(1 << 12, [0]))
@@ -197,3 +201,12 @@ def test_simulation_guard_refuses_before_any_work(monkeypatch):
         assert str(exceeded.value) == (
             f"{N * len(fragments) * R} shifted fragment bins exceed the simulation guard"
         )
+    # N * |J| = 2^24 terms of h pass
+    N = 1 << 12
+    with pytest.raises(Drawn):
+        simulate(FragmentSet.of([0]), SamplingPattern(N, IndexSet.of(N, range(N))), DiscreteSimulation(1))
+    for N, size in ((N + 1, N), (1 << 20, 1 << 19)):
+        pattern = SamplingPattern(N, IndexSet.of(N, range(size)))
+        with pytest.raises(GuardExceededError) as exceeded:
+            simulate(FragmentSet.of([0]), pattern, DiscreteSimulation(1))
+        assert str(exceeded.value) == f"{N * size} time-domain terms exceed the simulation guard"

@@ -108,13 +108,32 @@ def test_from_mask_matches_validated_constructor():
         assert not any(s < v or s > v for s, v in zip(unchecked, validated))
         expected = sorted((_validated(N, m) for m in set(masks)), key=lambda J: J.members)
         assert list(_index_sets(N, set(masks))) == expected
-    # the unchecked constructor writes the instance dict; the set stays frozen
+    # the unchecked constructor writes the slots; the set stays frozen
     s = IndexSet._unchecked(4, (1, 2))
     with pytest.raises(FrozenInstanceError):
         s.members = (0,)
     with pytest.raises(FrozenInstanceError):
         s.modulus = 5
     assert s == IndexSet(4, (1, 2))
+
+
+def test_index_sets_hold_no_instance_dict():
+    # slotted: a set holds its two fields and no per-instance dict, whether
+    # built with validation or by the unchecked constructor, and the two
+    # kinds compare and hash alike, across moduli too
+    rng = random.Random(89)
+    unchecked, validated = [], []
+    for N in (1, 8, 27, 100):
+        masks = sorted({rng.getrandbits(N) for _ in range(40)})
+        unchecked += [IndexSet.from_mask(N, mask) for mask in masks]
+        validated += [_validated(N, mask) for mask in masks]
+    assert IndexSet.__slots__ == ("modulus", "members")
+    for s, v in zip(unchecked, validated):
+        assert not hasattr(s, "__dict__") and not hasattr(v, "__dict__")
+        assert s == v and hash(s) == hash(v) and not s < v and not s > v
+    rng.shuffle(unchecked)
+    assert sorted(unchecked) == sorted(validated)
+    assert set(unchecked) == set(validated) and len(set(unchecked)) == len(validated)
 
 
 def test_index_sets_order_matches_member_sort():
