@@ -5,10 +5,16 @@ deterministic given the flags; ``sampling simulate``, the only subcommand
 that draws random numbers, takes them from ``--seed``.  Domain errors print a
 structured {code, message} object and exit 1; argparse usage errors exit 2.
 
+Each action has one handler, and each option that several actions share is
+declared once, in a parent parser they list.
+
 The exact-integer subcommands (``zeroset``, ``bracelet``, ``ramanujan eval``
 and ``fuglede tiles``) run without numpy.  ``oracle``, ``sampling`` and the
 other ``fuglede`` actions import their module inside the handler, after the
-arguments are validated, so that is when numpy loads.
+arguments are validated, so that is when numpy loads.  ``fuglede report``
+checks its guard before it factorizes N.  The residue guard lives in
+``cyclotomic``, where power residues are built, and refuses ``ramanujan eval``,
+``fuglede spectral`` and ``partners`` at a too-large N before any work.
 """
 
 from __future__ import annotations
@@ -20,13 +26,7 @@ import sys
 from .digit_tables import PivotSet, enumerate_solutions, from_index_set, is_solution
 from .errors import DomainError
 from .ramanujan import ramanujan_direct
-from .zn_core import (
-    IndexSet,
-    ModulusContext,
-    bracelet,
-    canonical_bracelet_rep,
-    tiles,
-)
+from .zn_core import IndexSet, ModulusContext, bracelet, canonical_bracelet_rep, tiles
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -36,10 +36,15 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _index_set(N: int, text: str) -> IndexSet:
-    """A comma list of members of Z_N, each already in [0, N)."""
+def _modulus(N: int) -> int:
     if N < 1:
         raise ValueError(f"modulus must be positive, got {N}")
+    return N
+
+
+def _index_set(N: int, text: str) -> IndexSet:
+    """A comma list of members of Z_N, each already in [0, N)."""
+    _modulus(N)
     members = _int_list(text)
     outside = [m for m in members if not 0 <= m < N]
     if outside:
@@ -47,13 +52,14 @@ def _index_set(N: int, text: str) -> IndexSet:
     return IndexSet.of(N, members)
 
 
-def _k_values(text: str) -> tuple[int, ...]:
-    """Either a comma list '0,3,7' or a nonempty inclusive range '0..128'."""
+def _k_values(text: str) -> tuple[int, ...] | range:
+    """Either a comma list '0,3,7' or a nonempty inclusive range '0..128',
+    kept as a range so that a long one is never held in memory."""
     if ".." in text:
         lo, hi = (int(t) for t in text.split(".."))
         if lo > hi:
             raise ValueError(f"empty range {text}")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return _int_list(text)
 
 
@@ -71,48 +77,42 @@ def _emit(obj: dict, fmt: str) -> None:
         print(json.dumps(obj))
 
 
-def _cmd_zeroset(args) -> int:
+def _zeroset_enumerate(args) -> None:
     ctx = ModulusContext.of(args.N)
-    if args.action == "enumerate":
-        mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
-        for J in enumerate_solutions(ctx, mc, max_cardinality=args.max_size):
-            # a nonempty canonical rep contains 0, so only such J can be one
-            if args.bracelet_reps and J.members and (
-                J.members[0] != 0 or canonical_bracelet_rep(J) != J
-            ):
-                continue
-            _emit_set(J, args.format)
-        return 0
-    if args.action == "check":
-        mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
-        J = _index_set(args.N, args.set)
-        check = is_solution(ctx, J, mc)
-        _emit(
-            {
-                "solution": check.ok,
-                "certificate": (
-                    [list(b.members) for b in check.certificate]
-                    if check.certificate is not None
-                    else None
-                ),
-            },
-            args.format,
-        )
-        return 0
+    mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
+    for J in enumerate_solutions(ctx, mc, max_cardinality=args.max_size):
+        # a nonempty canonical rep contains 0, so only such J can be one
+        if args.bracelet_reps and J.members and (
+            J.members[0] != 0 or canonical_bracelet_rep(J) != J
+        ):
+            continue
+        _emit_set(J, args.format)
+
+
+def _zeroset_check(args) -> None:
+    ctx = ModulusContext.of(args.N)
+    mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
+    check = is_solution(ctx, _index_set(args.N, args.set), mc)
+    blocks = None if check.certificate is None else [list(b.members) for b in check.certificate]
+    _emit({"solution": check.ok, "certificate": blocks}, args.format)
+
+
+def _zeroset_table(args) -> None:
+    ctx = ModulusContext.of(args.N)
     table = from_index_set(ctx, _index_set(args.N, args.set))
     _emit({"p": table.p, "M": table.M, "rows": [list(r) for r in table.rows]}, args.format)
-    return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.action == "solve":
-        mode = {"exact": "exact-zero-set", "at-least": "vanish-at-least"}[args.mode]
-        zeros = _index_set(args.N, args.zeros)
-        from .oracle import brute_force_solutions
+def _oracle_solve(args) -> None:
+    mode = {"exact": "exact-zero-set", "at-least": "vanish-at-least"}[args.mode]
+    zeros = _index_set(args.N, args.zeros)
+    from .oracle import brute_force_solutions
 
-        for J in brute_force_solutions(args.N, zeros, mode, args.max_size):
-            _emit_set(J, args.format)
-        return 0
+    for J in brute_force_solutions(args.N, zeros, mode, args.max_size):
+        _emit_set(J, args.format)
+
+
+def _oracle_compare(args) -> None:
     ctx = ModulusContext.of(args.N)
     mc = PivotSet.from_divisors(ctx, _int_list(args.divisors))
     from .oracle import compare_with_theorem
@@ -129,46 +129,41 @@ def _cmd_oracle(args) -> int:
         },
         args.format,
     )
-    return 0
 
 
-def _cmd_ramanujan(args) -> int:
+def _ramanujan_eval(args) -> None:
     for k in _k_values(args.k):
         value = ramanujan_direct(args.q, k)
         if args.format == "json":
             print(json.dumps({"q": args.q, "k": k, "value": value}))
         else:
             print(f"{args.q},{k},{value}")
-    return 0
 
 
-def _cmd_sampling(args) -> int:
+def _sampling_design(args) -> None:
     fragments = _int_list(args.fragments)
-    from .sampling import (
-        DiscreteSimulation,
-        FragmentSet,
-        SamplingPattern,
-        design_pattern,
-        simulate,
+    from .sampling import FragmentSet, design_pattern
+
+    result = design_pattern(FragmentSet.of(fragments), args.N)
+    h = result.idempotent.time_domain().values
+    _emit(
+        {
+            "J": list(result.pattern.offsets.members),
+            "N": args.N,
+            "rate": result.rate,
+            "h": [[v.real, v.imag] for v in h],
+        },
+        args.format,
     )
 
+
+def _sampling_simulate(args) -> None:
+    fragments = _int_list(args.fragments)
+    from .sampling import DiscreteSimulation, FragmentSet, SamplingPattern, simulate
+
     F = FragmentSet.of(fragments)
-    if args.action == "design":
-        result = design_pattern(F, args.N)
-        h = result.idempotent.time_domain().values
-        _emit(
-            {
-                "J": list(result.pattern.offsets.members),
-                "N": args.N,
-                "rate": result.rate,
-                "h": [[v.real, v.imag] for v in h],
-            },
-            args.format,
-        )
-        return 0
     pattern = SamplingPattern(args.N, _index_set(args.N, args.J))
-    sim = DiscreteSimulation(oversampling=args.oversample, seed=args.seed)
-    report = simulate(F, pattern, sim)
+    report = simulate(F, pattern, DiscreteSimulation(oversampling=args.oversample, seed=args.seed))
     _emit(
         {
             "max_error": report.max_error,
@@ -177,39 +172,37 @@ def _cmd_sampling(args) -> int:
         },
         args.format,
     )
-    return 0
 
 
-def _cmd_fuglede(args) -> int:
-    if args.action == "tiles":
-        J = _index_set(args.N, args.J)
-        K = _index_set(args.N, args.K)
-        _emit({"tiles": tiles(J, K)}, args.format)
-        return 0
-    if args.action == "partners":
-        J = _index_set(args.N, args.J)
-        from .fuglede import find_tiling_partners
+def _fuglede_tiles(args) -> None:
+    J = _index_set(args.N, args.J)
+    _emit({"tiles": tiles(J, _index_set(args.N, args.K))}, args.format)
 
-        for K in find_tiling_partners(J, args.max_results):
-            _emit_set(K, args.format)
-        return 0
-    if args.action == "spectral":
-        J = _index_set(args.N, args.J)
-        from .fuglede import is_spectral
 
-        result = is_spectral(J)
-        _emit(
-            {
-                "spectral": result.spectral,
-                "witness": list(result.witness.members) if result.witness else None,
-            },
-            args.format,
-        )
-        return 0
-    ctx = ModulusContext.of(args.N)
-    from .fuglede import fuglede_report
+def _fuglede_partners(args) -> None:
+    J = _index_set(args.N, args.J)
+    from .fuglede import find_tiling_partners
 
-    report = fuglede_report(ctx, args.max_size)
+    for K in find_tiling_partners(J, args.max_results):
+        _emit_set(K, args.format)
+
+
+def _fuglede_spectral(args) -> None:
+    J = _index_set(args.N, args.J)
+    from .fuglede import is_spectral
+
+    result = is_spectral(J)
+    witness = list(result.witness.members) if result.witness else None
+    _emit({"spectral": result.spectral, "witness": witness}, args.format)
+
+
+def _fuglede_report(args) -> None:
+    N = _modulus(args.N)
+    from .fuglede import check_report_guard, fuglede_report
+
+    # refuse before the trial division that ModulusContext.of runs on N
+    check_report_guard(N)
+    report = fuglede_report(ModulusContext.of(N), args.max_size)
     _emit(
         {
             "N": report.modulus,
@@ -229,26 +222,34 @@ def _cmd_fuglede(args) -> int:
         },
         args.format,
     )
-    return 0
 
 
-def _cmd_bracelet(args) -> int:
-    s = _index_set(args.N, args.set)
-    if args.action == "rep":
-        _emit_set(canonical_bracelet_rep(s), args.format)
-        return 0
-    for member in sorted(bracelet(s), key=lambda t: t.members):
+def _bracelet_orbit(args) -> None:
+    for member in sorted(bracelet(_index_set(args.N, args.set)), key=lambda t: t.members):
         _emit_set(member, args.format)
-    return 0
+
+
+def _bracelet_rep(args) -> None:
+    _emit_set(canonical_bracelet_rep(_index_set(args.N, args.set)), args.format)
+
+
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one option shared by several actions."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def _common(default_format: str = "json") -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(add_help=False)
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        return p
-
-    common = _common()
+    json_format, csv_format = (
+        _option("--format", choices=("json", "csv"), default=default) for default in ("json", "csv")
+    )
+    N = _option("--N", type=int, required=True)
+    divisors = _option("--divisors", default="")
+    max_size = _option("--max-size", type=int, default=None)
+    set_ = _option("--set", required=True)
+    J = _option("--J", required=True)
+    fragments = _option("--fragments", required=True)
 
     parser = argparse.ArgumentParser(
         prog="idemzeros",
@@ -256,111 +257,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    zs = top.add_parser("zeroset", help="digit-table enumeration and checks").add_subparsers(
-        dest="action", required=True
-    )
-    enum = zs.add_parser("enumerate", parents=[common])
-    enum.add_argument("--N", type=int, required=True)
-    enum.add_argument("--divisors", default="")
-    enum.add_argument("--max-size", type=int, default=None)
-    enum.add_argument("--bracelet-reps", action="store_true")
-    enum.set_defaults(func=_cmd_zeroset)
-    check = zs.add_parser("check", parents=[common])
-    check.add_argument("--N", type=int, required=True)
-    check.add_argument("--divisors", default="")
-    check.add_argument("--set", required=True)
-    check.set_defaults(func=_cmd_zeroset)
-    table = zs.add_parser("table", parents=[common])
-    table.add_argument("--N", type=int, required=True)
-    table.add_argument("--set", required=True)
-    table.set_defaults(func=_cmd_zeroset)
+    def group(name: str, summary: str):
+        actions = top.add_parser(name, help=summary).add_subparsers(dest="action", required=True)
 
-    orc = top.add_parser("oracle", help="exhaustive brute-force search").add_subparsers(
-        dest="action", required=True
+        def action(name: str, func, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+            # the parents' options come first, in the order listed, as --help shows them
+            sub = actions.add_parser(name, parents=parents)
+            sub.set_defaults(func=func)
+            return sub
+
+        return action
+
+    zeroset = group("zeroset", "digit-table enumeration and checks")
+    zeroset("enumerate", _zeroset_enumerate, json_format, N, divisors, max_size).add_argument(
+        "--bracelet-reps", action="store_true"
     )
-    solve = orc.add_parser("solve", parents=[common])
-    solve.add_argument("--N", type=int, required=True)
+    zeroset("check", _zeroset_check, json_format, N, divisors, set_)
+    zeroset("table", _zeroset_table, json_format, N, set_)
+
+    oracle = group("oracle", "exhaustive brute-force search")
+    solve = oracle("solve", _oracle_solve, json_format, N)
     solve.add_argument("--zeros", default="")
     solve.add_argument("--mode", choices=("exact", "at-least"), default="at-least")
     solve.add_argument("--max-size", type=int, default=None)
-    solve.set_defaults(func=_cmd_oracle)
-    cmp_ = orc.add_parser("compare", parents=[common])
-    cmp_.add_argument("--N", type=int, required=True)
-    cmp_.add_argument("--divisors", default="")
-    cmp_.add_argument("--max-size", type=int, default=None)
-    cmp_.set_defaults(func=_cmd_oracle)
+    oracle("compare", _oracle_compare, json_format, N, divisors, max_size)
 
-    ram = top.add_parser("ramanujan", help="Ramanujan sums").add_subparsers(
-        dest="action", required=True
-    )
-    ev = ram.add_parser("eval", parents=[_common(default_format="csv")])
+    ramanujan = group("ramanujan", "Ramanujan sums")
+    ev = ramanujan("eval", _ramanujan_eval, csv_format)
     ev.add_argument("--q", type=int, required=True)
     ev.add_argument("--k", required=True, help="comma list or inclusive range a..b")
-    ev.set_defaults(func=_cmd_ramanujan)
 
-    smp = top.add_parser("sampling", help="multicoset pattern design").add_subparsers(
-        dest="action", required=True
-    )
-    des = smp.add_parser("design", parents=[common])
-    des.add_argument("--fragments", required=True)
-    des.add_argument("--N", type=int, required=True)
-    des.set_defaults(func=_cmd_sampling)
-    simp = smp.add_parser("simulate", parents=[common])
-    simp.add_argument("--fragments", required=True)
-    simp.add_argument("--N", type=int, required=True)
-    simp.add_argument("--J", required=True)
-    simp.add_argument("--oversample", type=int, default=16)
-    simp.add_argument("--seed", type=int, default=0)
-    simp.set_defaults(func=_cmd_sampling)
+    sampling = group("sampling", "multicoset pattern design")
+    sampling("design", _sampling_design, json_format, fragments, N)
+    simulate = sampling("simulate", _sampling_simulate, json_format, fragments, N, J)
+    simulate.add_argument("--oversample", type=int, default=16)
+    simulate.add_argument("--seed", type=int, default=0)
 
-    fug = top.add_parser("fuglede", help="tiling and spectral checks").add_subparsers(
-        dest="action", required=True
+    fuglede = group("fuglede", "tiling and spectral checks")
+    fuglede("tiles", _fuglede_tiles, json_format, N, J).add_argument("--K", required=True)
+    fuglede("partners", _fuglede_partners, json_format, N, J).add_argument(
+        "--max-results", type=int, default=None
     )
-    til = fug.add_parser("tiles", parents=[common])
-    til.add_argument("--N", type=int, required=True)
-    til.add_argument("--J", required=True)
-    til.add_argument("--K", required=True)
-    til.set_defaults(func=_cmd_fuglede)
-    par = fug.add_parser("partners", parents=[common])
-    par.add_argument("--N", type=int, required=True)
-    par.add_argument("--J", required=True)
-    par.add_argument("--max-results", type=int, default=None)
-    par.set_defaults(func=_cmd_fuglede)
-    spc = fug.add_parser("spectral", parents=[common])
-    spc.add_argument("--N", type=int, required=True)
-    spc.add_argument("--J", required=True)
-    spc.set_defaults(func=_cmd_fuglede)
-    rep = fug.add_parser("report", parents=[common])
-    rep.add_argument("--N", type=int, required=True)
-    rep.add_argument("--max-size", type=int, default=None)
-    rep.set_defaults(func=_cmd_fuglede)
+    fuglede("spectral", _fuglede_spectral, json_format, N, J)
+    fuglede("report", _fuglede_report, json_format, N, max_size)
 
-    brc = top.add_parser("bracelet", help="dihedral orbits of index sets").add_subparsers(
-        dest="action", required=True
-    )
-    orb = brc.add_parser("orbit", parents=[common])
-    orb.add_argument("--N", type=int, required=True)
-    orb.add_argument("--set", required=True)
-    orb.set_defaults(func=_cmd_bracelet)
-    crep = brc.add_parser("rep", parents=[common])
-    crep.add_argument("--N", type=int, required=True)
-    crep.add_argument("--set", required=True)
-    crep.set_defaults(func=_cmd_bracelet)
+    bracelets = group("bracelet", "dihedral orbits of index sets")
+    bracelets("orbit", _bracelet_orbit, json_format, N, set_)
+    bracelets("rep", _bracelet_rep, json_format, N, set_)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except DomainError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc)}))
         return 1
     except ValueError as exc:
         print(json.dumps({"code": "invalid-value", "message": str(exc)}))
         return 1
+    return 0
 
 
 if __name__ == "__main__":

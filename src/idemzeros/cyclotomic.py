@@ -9,6 +9,12 @@ bound shows no sum can overflow and in Python ints otherwise.  Only the
 matrix routines (``power_residue_matrix``, ``subset_sums``, ``residue_sums``)
 load numpy, so the scalar route of ``root_sum`` and ``ramanujan`` runs without
 it.
+
+Every residue table starts from ``power_residues(N)``: N rows of phi(N)
+coefficients.  One guard, with no override, refuses an N for which they
+exceed RESIDUE_GUARD before any is built, and so covers ``root_sum``,
+``residue_sums`` and each module that sums roots of unity: ``fourier``,
+``fuglede``, ``oracle`` and ``ramanujan``.
 """
 
 from __future__ import annotations
@@ -17,10 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
-from .zn_core import proper_divisors
+from .errors import GuardExceededError
+from .zn_core import euler_phi, proper_divisors
 
 if TYPE_CHECKING:
     import numpy as np
+
+RESIDUE_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,22 @@ def cyclotomic_poly(N: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def check_residue_guard(N: int) -> None:
+    """GuardExceededError when the power residues mod N would hold more than
+    RESIDUE_GUARD coefficients, N * phi(N); as phi(N) >= 1, an N past the
+    guard is refused before it is factorized.  A passing N is remembered, so
+    a repeat check does not factorize again; the N that pass are finitely many."""
+    if N > RESIDUE_GUARD or N * euler_phi(N) > RESIDUE_GUARD:
+        raise GuardExceededError(
+            f"{N} * phi({N}) power-residue coefficients exceed the residue guard"
+        )
+
+
+@lru_cache(maxsize=None)
 def power_residues(N: int) -> tuple[tuple[int, ...], ...]:
-    """x^e mod Phi_N for e in [0, N), each as a fixed-length coefficient tuple."""
+    """x^e mod Phi_N for e in [0, N), each as a fixed-length coefficient tuple;
+    check_residue_guard(N) runs first."""
+    check_residue_guard(N)
     phi = cyclotomic_poly(N).coeffs
     deg = len(phi) - 1
     rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import residue_sums
+from .cyclotomic import check_residue_guard, residue_sums
 from .errors import ModulusMismatchError
 from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, proper_divisors
 
@@ -113,13 +113,15 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
 
     Exact mode sums the power residues of the exponents j*n mod N, j in J, for
     all n at once with ``cyclotomic.residue_sums`` (int64 when a bound allows,
-    Python ints otherwise); n is a zero iff its residue sum is all zeros.
+    Python ints otherwise); n is a zero iff its residue sum is all zeros.  The
+    residue guard refuses a too-large N before the N x |J| exponents are built.
     Float mode takes h at all n from one inverse FFT of the indicator of J and
     reads a zero wherever |h(n)| < TOL.
     """
     N = h.modulus
     J = h.spectrum.members
     if mode == "exact":
+        check_residue_guard(N)
         sums = residue_sums(N, np.outer(np.arange(N), np.array(J, dtype=np.int64)))
         zeros = np.flatnonzero((sums == 0).all(axis=1)).tolist()
     elif mode == "float":

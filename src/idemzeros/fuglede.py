@@ -46,6 +46,13 @@ from .zn_core import (
 REPORT_GUARD_N = 32
 
 
+def check_report_guard(N: int) -> None:
+    """GuardExceededError when N is past the report guard; a check of N alone,
+    so callers can make it before they factorize N."""
+    if N > REPORT_GUARD_N:
+        raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
+
+
 def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:
     return zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
 
@@ -209,8 +216,7 @@ def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> Fugl
     32, so the expected disagreement list is empty for every N the guard allows.
     """
     N = ctx.N
-    if N > REPORT_GUARD_N:
-        raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
+    check_report_guard(N)
     if max_set_size is None:
         max_set_size = N
     if max_set_size < 0:

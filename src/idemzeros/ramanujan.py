@@ -4,27 +4,21 @@ Two independent exact routes are provided: the authoritative one sums roots of
 unity through the cyclotomic backend; a Moebius divisor-sum identity serves as
 an internal cross-check.  Since c_q(k) = c_q(gcd(k, q)), the root sum is taken
 once per divisor of q and cached.  A root sum over Z_q builds the power
-residues mod q, q * phi(q) coefficients; one guard, with no override, refuses
-before any work a q for which they exceed RESIDUE_GUARD.
+residues mod q, q * phi(q) coefficients; the residue guard of ``cyclotomic``,
+where they are built, refuses before any work a q for which they exceed
+``cyclotomic.RESIDUE_GUARD``.  The Moebius identity visits only the divisors
+d of gcd(k, q) with q/d squarefree, built from one factorization of q.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 from .cyclotomic import root_sum
-from .errors import GuardExceededError, InvalidDivisorError
-from .zn_core import IndexSet, factorize
-
-RESIDUE_GUARD = 1 << 24
-
-
-def euler_phi(q: int) -> int:
-    out = q
-    for p, _ in factorize(q):
-        out -= out // p
-    return out
+from .errors import InvalidDivisorError
+from .zn_core import IndexSet, euler_phi, factorize
 
 
 def is_prime(n: int) -> bool:
@@ -32,14 +26,7 @@ def is_prime(n: int) -> bool:
 
 
 def _constant_value(N: int, exponents) -> int:
-    """Exact integer value of a root-of-unity sum known to be rational.
-    GuardExceededError, before any work, when the power residues mod N would
-    hold more than RESIDUE_GUARD coefficients; as phi(N) >= 1, an N past the
-    guard is refused before it is factorized."""
-    if N > RESIDUE_GUARD or N * euler_phi(N) > RESIDUE_GUARD:
-        raise GuardExceededError(
-            f"{N} * phi({N}) power-residue coefficients exceed the residue guard"
-        )
+    """Exact integer value of a root-of-unity sum known to be rational."""
     el = root_sum(N, exponents)
     coeffs = el.residue.coeffs
     if len(coeffs) > 1:
@@ -79,9 +66,29 @@ def ramanujan_prime_power(p: int, m: int, k: int) -> int:
 
 
 def ramanujan_mobius(q: int, k: int) -> int:
-    """Cross-check identity: c_q(k) = sum over d | gcd(k, q) of d * mu(q/d)."""
+    """Cross-check identity: c_q(k) = sum over d | gcd(k, q) of d * mu(q/d).
+
+    The divisors d are built from one factorization of q = prod p^m, with the
+    exponent e of each p at most its exponent in g = gcd(k, q).  mu(q/d) is 0
+    unless every m - e is 0 or 1, so only e in {m - 1, m} are visited, and
+    mu(q/d) is -1 to the number of e = m - 1.
+    """
     g = math.gcd(k % q, q) or q
-    return sum(d * mobius(q // d) for d in range(1, g + 1) if g % d == 0)
+    fact = factorize(q)
+    total = 0
+    for exps in itertools.product(*(range(m - 1, _valuation(g, p) + 1) for p, m in fact)):
+        d = math.prod(p**e for (p, _), e in zip(fact, exps))
+        total += d * (-1) ** sum(m - e for (_, m), e in zip(fact, exps))
+    return total
+
+
+def _valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in n > 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def mobius(n: int) -> int:

@@ -40,6 +40,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def euler_phi(n: int) -> int:
+    out = n
+    for p, _ in factorize(n):
+        out -= out // p
+    return out
+
+
 @lru_cache(maxsize=None)
 def proper_divisors(n: int) -> tuple[int, ...]:
     """Divisors of n below n itself (includes 1 for n > 1), ascending."""

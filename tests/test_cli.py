@@ -1,11 +1,16 @@
+import argparse
+import contextlib
+import io
 import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from idemzeros.cli import main
+from idemzeros import zn_core
+from idemzeros.cli import build_parser, main
 from idemzeros.digit_tables import PivotSet, enumerate_solutions
 from idemzeros.zn_core import ModulusContext, canonical_bracelet_rep, proper_divisors
 
@@ -171,15 +176,18 @@ def test_negative_max_size_is_invalid(args, capsys):
          "--oversample", "100000"),
         ("oracle", "solve", "--N", "20000", "--zeros", "1", "--max-size", "19999"),
         ("ramanujan", "eval", "--q", "1000000", "--k", "1"),
+        ("fuglede", "spectral", "--N", "1000000000000", "--J", "0"),
+        ("fuglede", "partners", "--N", "1000000000000", "--J", "0"),
     ],
 )
 def test_guard_refusals_are_error_objects(args, capsys, monkeypatch):
-    # a simulation or root sum that passed its guard would fail here, at the
-    # random draw or at the sum
+    # a simulation, zero set or root sum that passed its guard would fail
+    # here, at the random draw, at the exponent array or at the power residues
     import numpy as np
-    from idemzeros import ramanujan
+    from idemzeros import cyclotomic
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("simulated"))
-    monkeypatch.setattr(ramanujan, "root_sum", lambda *args: pytest.fail("summed"))
+    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("exponents built"))
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", lambda N: pytest.fail("summed"))
     assert main(list(args)) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["code"] == "guard-exceeded" and obj["message"].endswith(" guard")
@@ -212,3 +220,121 @@ def test_partners_max_results_bounds():
 def test_usage_error_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("zeroset", "enumerate").returncode == 2
+
+
+def test_report_guard_refuses_before_factorizing(capsys, monkeypatch):
+    # 2^61 - 1 is prime, so trial division would run for minutes; the message
+    # is the library's own
+    from idemzeros.fuglede import fuglede_report
+    from idemzeros.errors import GuardExceededError
+
+    N = (1 << 61) - 1
+    with pytest.raises(GuardExceededError) as refused:
+        fuglede_report(ModulusContext(N, ((N, 1),)))
+    monkeypatch.setattr(zn_core, "factorize", lambda n: pytest.fail("factorized"))
+    start = time.perf_counter()
+    assert main(["fuglede", "report", "--N", str(N)]) == 1
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "guard-exceeded",
+        "message": str(refused.value),
+    }
+
+
+class _FirstLines(io.StringIO):
+    """A stdout that stops the caller once it holds ``count`` lines."""
+
+    class Enough(Exception):
+        pass
+
+    def __init__(self, count: int):
+        super().__init__()
+        self.count = count
+
+    def write(self, text: str) -> int:
+        written = super().write(text)
+        if self.getvalue().count("\n") >= self.count:
+            raise self.Enough
+        return written
+
+
+@pytest.mark.parametrize(
+    "fmt, first",
+    [("csv", ["4,0,2", "4,1,0", "4,2,-2"]), ("json", ['{"q": 4, "k": 0, "value": 2}'])],
+)
+def test_ramanujan_range_streams(fmt, first):
+    # 10^15 + 1 values of k: the range must not be built before the first line
+    out = _FirstLines(len(first))
+    with contextlib.redirect_stdout(out), pytest.raises(_FirstLines.Enough):
+        main(["ramanujan", "eval", "--q", "4", "--k", "0..1000000000000000", "--format", fmt])
+    assert out.getvalue().splitlines() == first
+
+
+# (group, action) -> its options in --help order, each with
+# (default, required, choices, type); -h is left out, and type None reads a string
+STR, INT = None, int
+FORMAT = ("json", False, ("json", "csv"), STR)
+N_OPT = ("--N", (None, True, None, INT))
+OPTIONS = {
+    ("zeroset", "enumerate"): [
+        ("--format", FORMAT), N_OPT, ("--divisors", ("", False, None, STR)),
+        ("--max-size", (None, False, None, INT)), ("--bracelet-reps", (False, False, None, STR)),
+    ],
+    ("zeroset", "check"): [
+        ("--format", FORMAT), N_OPT, ("--divisors", ("", False, None, STR)),
+        ("--set", (None, True, None, STR)),
+    ],
+    ("zeroset", "table"): [("--format", FORMAT), N_OPT, ("--set", (None, True, None, STR))],
+    ("oracle", "solve"): [
+        ("--format", FORMAT), N_OPT, ("--zeros", ("", False, None, STR)),
+        ("--mode", ("at-least", False, ("exact", "at-least"), STR)),
+        ("--max-size", (None, False, None, INT)),
+    ],
+    ("oracle", "compare"): [
+        ("--format", FORMAT), N_OPT, ("--divisors", ("", False, None, STR)),
+        ("--max-size", (None, False, None, INT)),
+    ],
+    ("ramanujan", "eval"): [
+        ("--format", ("csv", False, ("json", "csv"), STR)),
+        ("--q", (None, True, None, INT)), ("--k", (None, True, None, STR)),
+    ],
+    ("sampling", "design"): [
+        ("--format", FORMAT), ("--fragments", (None, True, None, STR)), N_OPT,
+    ],
+    ("sampling", "simulate"): [
+        ("--format", FORMAT), ("--fragments", (None, True, None, STR)), N_OPT,
+        ("--J", (None, True, None, STR)), ("--oversample", (16, False, None, INT)),
+        ("--seed", (0, False, None, INT)),
+    ],
+    ("fuglede", "tiles"): [
+        ("--format", FORMAT), N_OPT, ("--J", (None, True, None, STR)),
+        ("--K", (None, True, None, STR)),
+    ],
+    ("fuglede", "partners"): [
+        ("--format", FORMAT), N_OPT, ("--J", (None, True, None, STR)),
+        ("--max-results", (None, False, None, INT)),
+    ],
+    ("fuglede", "spectral"): [("--format", FORMAT), N_OPT, ("--J", (None, True, None, STR))],
+    ("fuglede", "report"): [
+        ("--format", FORMAT), N_OPT, ("--max-size", (None, False, None, INT)),
+    ],
+    ("bracelet", "orbit"): [("--format", FORMAT), N_OPT, ("--set", (None, True, None, STR))],
+    ("bracelet", "rep"): [("--format", FORMAT), N_OPT, ("--set", (None, True, None, STR))],
+}  # fmt: skip
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_subcommand_options_are_pinned():
+    got = {}
+    for group, group_parser in _subcommands(build_parser()).items():
+        for action, parser in _subcommands(group_parser).items():
+            got[group, action] = [
+                (a.option_strings[-1], (a.default, a.required, a.choices, a.type))
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+    assert got == OPTIONS

@@ -5,7 +5,7 @@ import pytest
 
 from idemzeros import cyclotomic
 from idemzeros.cyclotomic import is_zero, root_sum
-from idemzeros.errors import ModulusMismatchError
+from idemzeros.errors import GuardExceededError, ModulusMismatchError
 from idemzeros.fourier import (
     Signal,
     circular_convolution,
@@ -158,3 +158,24 @@ def test_additivity_on_disjoint_spectra():
         h2 = idempotent_from_spectrum(j2)
         for n in range(N):
             assert abs(total.evaluate(n) - h1.evaluate(n) - h2.evaluate(n)) < 1e-12
+
+
+def test_residue_guard_refuses_before_the_exponents(monkeypatch):
+    # past the guard, exact mode builds the N x |J| exponents; that step is
+    # stubbed, so 4093 (4093 * 4092 <= 2^24) reaches it and 4099 is refused
+    class Built(Exception):
+        pass
+
+    def outer(*args):
+        raise Built
+
+    monkeypatch.setattr(np, "outer", outer)
+    with pytest.raises(Built):
+        zero_set(idempotent_from_spectrum(IndexSet(4093, (0,))))
+    for N in (4099, 10**12):
+        h = idempotent_from_spectrum(IndexSet(N, (0, 1)))
+        with pytest.raises(GuardExceededError) as refused:
+            zero_set(h)
+        assert str(refused.value) == f"{N} * phi({N}) power-residue coefficients exceed the residue guard"
+    # float mode builds no residues
+    assert zero_set(idempotent_from_spectrum(IndexSet(4099, (0, 1))), mode="float").zero_set.members == ()

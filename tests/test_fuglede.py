@@ -179,3 +179,15 @@ def test_report_tiling_matches_partner_search():
         for v in fuglede_report(ModulusContext.of(N)).classes:
             found = next(find_tiling_partners(v.representative, 1), None) is not None
             assert v.tiling == found, (N, v.representative.members)
+
+
+def test_spectral_and_partner_checks_hit_the_residue_guard(monkeypatch):
+    # both take the exact zero set of h_J first, which the residue guard
+    # refuses before the exponent array is built
+    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("exponents built"))
+    for N in (4099, 10**12):
+        J = IndexSet(N, (0,))
+        with pytest.raises(GuardExceededError, match="exceed the residue guard$"):
+            is_spectral(J)
+        with pytest.raises(GuardExceededError, match="exceed the residue guard$"):
+            list(find_tiling_partners(J))

@@ -1,8 +1,9 @@
 import math
+import time
 
 import pytest
 
-from idemzeros import ramanujan
+from idemzeros import cyclotomic, ramanujan, zn_core
 from idemzeros.digit_tables import PivotSet, enumerate_solutions
 from idemzeros.errors import GuardExceededError, InvalidDivisorError
 from idemzeros.ramanujan import (
@@ -14,7 +15,7 @@ from idemzeros.ramanujan import (
     ramanujan_mobius,
     ramanujan_prime_power,
 )
-from idemzeros.zn_core import IndexSet, ModulusContext, proper_divisors, translate
+from idemzeros.zn_core import IndexSet, ModulusContext, factorize, proper_divisors, translate
 
 
 def test_euler_phi_small():
@@ -104,20 +105,22 @@ def test_cache_holds_one_entry_per_divisor():
 
 
 def test_residue_guard_refuses_before_any_work(monkeypatch):
-    # the root sum is stubbed to stop a passing call there; the guard counts
-    # q * phi(q) coefficients, and a q past the guard is never factorized
+    # the guard sits in cyclotomic.power_residues; the cyclotomic polynomial,
+    # the first work past it, is stubbed to stop a passing call there.  The
+    # guard counts q * phi(q) coefficients, and a q past it is never factorized
     class Summed(Exception):
         pass
 
-    def root_sum(N, exponents):
+    def cyclotomic_poly(N):
         raise Summed
 
     factorized = []
-    factorize = ramanujan.factorize
-    monkeypatch.setattr(ramanujan, "factorize", lambda n: factorized.append(n) or factorize(n))
-    monkeypatch.setattr(ramanujan, "root_sum", root_sum)
+    monkeypatch.setattr(zn_core, "factorize", lambda n: factorized.append(n) or factorize(n))
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", cyclotomic_poly)
     ramanujan._unit_root_sum.cache_clear()
-    assert ramanujan.RESIDUE_GUARD == 1 << 24
+    cyclotomic.power_residues.cache_clear()
+    assert cyclotomic.RESIDUE_GUARD == 1 << 24
+    assert not hasattr(ramanujan, "RESIDUE_GUARD")
     # 4093 and 4099 are prime: 4093 * 4092 <= 2^24 < 4099 * 4098
     calls = (
         lambda q: ramanujan_direct(q, 1),
@@ -135,4 +138,15 @@ def test_residue_guard_refuses_before_any_work(monkeypatch):
                 f"{q} * phi({q}) power-residue coefficients exceed the residue guard"
             )
             assert all(n <= 1 << 24 for n in factorized), q
+            assert (q in factorized) == (q <= 1 << 24), q
     assert ramanujan._unit_root_sum.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5**12, 2**11 * 5**3, 10**12, -(10**6), 123456789])
+def test_mobius_visits_only_the_divisors_of_the_gcd(k):
+    # the old loop over every d up to gcd(k, q) took hours at q = 10^12
+    q = 10**12
+    start = time.perf_counter()
+    value = ramanujan_mobius(q, k)
+    assert time.perf_counter() - start < 1
+    assert value == math.prod(ramanujan_prime_power(p, m, k) for p, m in factorize(q))
