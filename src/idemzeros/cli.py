@@ -4,6 +4,7 @@ Output is machine readable (JSON lines by default, CSV on request) and
 deterministic given the flags; ``sampling simulate``, the only subcommand
 that draws random numbers, takes them from ``--seed``.  Domain errors print a
 structured {code, message} object and exit 1; argparse usage errors exit 2.
+A reader that closes stdout early ends the call quietly, with exit 1.
 
 Each action has one handler, and each option that several actions share is
 declared once, in a parent parser they list.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .digit_tables import PivotSet, enumerate_solutions, from_index_set, is_solution
@@ -311,12 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except DomainError as exc:
-        print(json.dumps({"code": exc.code, "message": str(exc)}))
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"code": "invalid-value", "message": str(exc)}))
+        try:
+            args.func(args)
+        except DomainError as exc:
+            print(json.dumps({"code": exc.code, "message": str(exc)}))
+            return 1
+        except ValueError as exc:
+            print(json.dumps({"code": "invalid-value", "message": str(exc)}))
+            return 1
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's last flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

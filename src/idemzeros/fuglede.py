@@ -14,10 +14,13 @@ such an I and checks its Gram matrix.
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
 least mask, and a class tiles iff some class of the complementary size
-vanishes at every divisor it does not.  One exact scan over all 2^N masks
-finds those masks: integer residue sums of the low and high bits of each mask
-are built by doubling, and a mask vanishes at a divisor iff its two halves'
-sums cancel exactly.
+vanishes at every divisor it does not.  A translate of a set by minus its
+least member has the same class and a mask no larger, so only the masks that
+hold 0 are scanned.  A mask vanishes at a divisor iff the exact residue sums
+of its low and high bits cancel.  Those sums and their 64-bit fingerprints
+come from the oracle's limb tables.  Fingerprints rule out the low halves
+that no high half can cancel, exact integer ids are built only for the
+rest, and those exact sums decide every flag.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import power_residue_matrix, subset_sums
 from .errors import GuardExceededError
 from .fourier import idempotent_from_spectrum, zero_set
-from .oracle import _sized_solution_masks
+from .oracle import _limb_tables, _sized_solution_masks
 from .zn_core import (
     DivisorSpec,
     IndexSet,
@@ -151,40 +153,73 @@ class FugledeReport:
     disagreements: tuple[ClassVerdict, ...]
 
 
+# the parts of an oracle limb: (low bit, exact residue sums, fingerprints)
+_EXACT, _FINGERPRINT = 1, 2
+
+
+def _limb_sum(limbs, masks: np.ndarray, low_bit: int, high_bit: int, part: int) -> np.ndarray:
+    """Per mask, the sum of one part of the limbs at bits [low_bit, high_bit),
+    read at the mask's bits there; masks hold those bits from bit 0."""
+    first = limbs[0][part]
+    total = np.zeros((len(masks),) + first.shape[1:], dtype=first.dtype)
+    for limb in limbs:
+        lo, table = limb[0], limb[part]
+        if low_bit <= lo < high_bit:
+            total += table[masks >> (lo - low_bit) & len(table) - 1]
+    return total
+
+
 def _class_reps(N: int) -> dict[tuple, int]:
     """Least mask of every (size, divisor flags) class of nonempty sets.
 
-    Masks split into low and high bits.  At each proper divisor d, the exact
-    residue sums of all low subsets and of the negated high subsets get common
-    integer ids, so a mask vanishes at d iff its low id equals its high id.
+    Translating J by -min(J) keeps its size and zero set and gives a mask no
+    larger, so the least mask of every class holds 0: only odd masks are
+    scanned.  Masks split into low and high bits, and a mask vanishes at a
+    proper divisor d iff the exact residue sums of its low bits and of its
+    negated high bits are equal.  Those sums come from the oracle's limb
+    tables, whose fingerprints are linear mod 2^64, so equal sums have equal
+    fingerprints.  Exact sums get common integer ids only at the lows whose
+    fingerprint some negated high shares; every other low gets id -1, which
+    no high has.
     """
-    R = power_residue_matrix(N)
     divisors = proper_divisors(N)
     low_bits = min(N, 16)
-    n_low = 1 << low_bits
+    lows = np.arange(1, 1 << low_bits, 2)
+    highs = np.arange(1 << (N - low_bits))
     low_ids, high_ids = [], []
     for d in divisors:
-        rows = R[(np.arange(N) * d) % N]
-        sums = np.concatenate([subset_sums(rows[:low_bits]), -subset_sums(rows[low_bits:])])
+        limbs = _limb_tables(N, d)
+        low_fp = _limb_sum(limbs, lows, 0, low_bits, _FINGERPRINT)
+        high_fp = -_limb_sum(limbs, highs, low_bits, N, _FINGERPRINT)
+        hits = np.flatnonzero(np.isin(low_fp, high_fp))
+        low_sums = _limb_sum(limbs, lows[hits], 0, low_bits, _EXACT)
+        sums = np.concatenate([low_sums, -_limb_sum(limbs, highs, low_bits, N, _EXACT)])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
         _, ids = np.unique(rows_as_bytes, return_inverse=True)
-        low_ids.append(ids[:n_low])
-        high_ids.append(ids[n_low:])
-    low_sizes = subset_sums(np.ones(low_bits, dtype=np.int64))
-    high_sizes = subset_sums(np.ones(N - low_bits, dtype=np.int64))
+        # int32 ids halve the bytes the per-high comparisons read
+        ids = ids.astype(np.int32)
+        lo_ids = np.full(len(lows), -1, dtype=np.int32)
+        lo_ids[hits] = ids[: len(hits)]
+        low_ids.append(lo_ids)
+        high_ids.append(ids[len(hits) :])
     n_keys = 256 << len(divisors)
+    key_dtype = np.min_scalar_type(n_keys - 1)
+    bits = [key_dtype.type(1 << (8 + i)) for i in range(len(divisors))]
+    low_sizes = np.bitwise_count(lows).astype(key_dtype)
+    high_sizes = np.bitwise_count(highs).astype(key_dtype)
     seen = np.zeros(n_keys, dtype=bool)
     reps: dict[int, int] = {}
-    for high in range(1 << (N - low_bits)):
+    for high in range(len(highs)):
         keys = low_sizes + high_sizes[high]
-        for i, (lo, hi) in enumerate(zip(low_ids, high_ids)):
-            keys |= (lo == hi[high]).astype(np.int64) << (8 + i)
+        for lo, hi, bit in zip(low_ids, high_ids, bits):
+            keys |= (lo == hi[high]) * bit
+        present = np.zeros(n_keys, dtype=bool)
+        present[keys] = True
         # Masks grow with ``high``, so a key's first chunk holds its least mask.
-        new = np.flatnonzero(np.bincount(keys, minlength=n_keys).astype(bool) & ~seen)
+        new = np.flatnonzero(present & ~seen)
         seen[new] = True
         for key in new.tolist():
-            if key & 255:
-                reps[key] = high << low_bits | int(np.argmax(keys == key))
+            reps[key] = high << low_bits | int(lows[np.argmax(keys == key)])
     return {
         (key & 255, tuple(bool(key >> (8 + i) & 1) for i in range(len(divisors)))): mask
         for key, mask in reps.items()

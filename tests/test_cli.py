@@ -270,6 +270,30 @@ def test_ramanujan_range_streams(fmt, first):
     assert out.getvalue().splitlines() == first
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ramanujan", "eval", "--q", "4", "--k", "0..1000000000000000"),
+        ("zeroset", "enumerate", "--N", "27", "--max-size", "5"),
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # the reader takes two lines and closes the pipe: exit 1, no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idemzeros", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() and proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=5) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 # (group, action) -> its options in --help order, each with
 # (default, required, choices, type); -h is left out, and type None reads a string
 STR, INT = None, int

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idemzeros import fuglede
+from idemzeros.cyclotomic import power_residue_matrix, subset_sums
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
     find_tiling_partners,
@@ -128,7 +129,7 @@ def test_report_small_moduli():
 
 
 def test_report_reps_are_least_masks_of_their_classes():
-    for N in (8, 9):
+    for N in (8, 9, 12):
         least = {}
         for mask in range(1, 1 << N):
             J = IndexSet.from_mask(N, mask)
@@ -142,6 +143,66 @@ def test_report_reps_are_least_masks_of_their_classes():
     # member-tuple order).
     for v in fuglede_report(ModulusContext.of(16)).classes:
         assert min(K.mask for K in bracelet(v.representative)) == v.representative.mask
+
+
+def class_reps_by_unique_ids(N: int) -> dict[tuple, int]:
+    """Least mask of every (size, divisor flags) class of nonempty sets.
+
+    Masks split into low and high bits.  At each proper divisor d, the exact
+    residue sums of all low subsets and of the negated high subsets get common
+    integer ids, so a mask vanishes at d iff its low id equals its high id.
+    """
+    R = power_residue_matrix(N)
+    divisors = proper_divisors(N)
+    low_bits = min(N, 16)
+    n_low = 1 << low_bits
+    low_ids, high_ids = [], []
+    for d in divisors:
+        rows = R[(np.arange(N) * d) % N]
+        sums = np.concatenate([subset_sums(rows[:low_bits]), -subset_sums(rows[low_bits:])])
+        rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
+        _, ids = np.unique(rows_as_bytes, return_inverse=True)
+        low_ids.append(ids[:n_low])
+        high_ids.append(ids[n_low:])
+    low_sizes = subset_sums(np.ones(low_bits, dtype=np.int64))
+    high_sizes = subset_sums(np.ones(N - low_bits, dtype=np.int64))
+    n_keys = 256 << len(divisors)
+    seen = np.zeros(n_keys, dtype=bool)
+    reps: dict[int, int] = {}
+    for high in range(1 << (N - low_bits)):
+        keys = low_sizes + high_sizes[high]
+        for i, (lo, hi) in enumerate(zip(low_ids, high_ids)):
+            keys |= (lo == hi[high]).astype(np.int64) << (8 + i)
+        # Masks grow with ``high``, so a key's first chunk holds its least mask.
+        new = np.flatnonzero(np.bincount(keys, minlength=n_keys).astype(bool) & ~seen)
+        seen[new] = True
+        for key in new.tolist():
+            if key & 255:
+                reps[key] = high << low_bits | int(np.argmax(keys == key))
+    return {
+        (key & 255, tuple(bool(key >> (8 + i) & 1) for i in range(len(divisors)))): mask
+        for key, mask in reps.items()
+    }
+
+
+def test_class_reps_match_the_scan_over_every_mask():
+    # the reference scans every mask and ids the exact sums of every half,
+    # from its own residue rows, not the oracle's limb tables
+    for N in range(1, 25):
+        assert fuglede._class_reps(N) == class_reps_by_unique_ids(N), N
+
+
+def test_class_reps_decided_by_exact_sums(monkeypatch):
+    # with every fingerprint 0, every low is a hit, so only the exact sums
+    # can tell a vanishing mask from the rest
+    limb_tables = fuglede._limb_tables
+
+    def zeroed(N, n):
+        return tuple((lo, table, np.zeros_like(fp)) for lo, table, fp in limb_tables(N, n))
+
+    monkeypatch.setattr(fuglede, "_limb_tables", zeroed)
+    for N in (8, 12, 16, 18, 20, 23):
+        assert fuglede._class_reps(N) == class_reps_by_unique_ids(N), N
 
 
 def test_report_sets_checked_with_size_cap():
