@@ -18,7 +18,6 @@ Certificates list their blocks by least member.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     NonPrimePowerError,
     PreconditionError,
 )
-from .zn_core import DivisorSpec, IndexSet, ModulusContext, _index_sets
+from .zn_core import DivisorSpec, IndexSet, ModulusContext, _index_sets, valuation
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,9 @@ class PivotSet:
     def from_divisors(cls, ctx: ModulusContext, divisors) -> "PivotSet":
         """Columns l of the proper divisors p^l of a prime-power modulus."""
         spec = DivisorSpec.of(ctx.N, divisors)
+        # read before the loop, so that a composite N raises with no divisors
         p = ctx.p
-        columns = []
-        for d in spec.divisors:
-            l = 0
-            while d > 1:
-                d //= p
-                l += 1
-            columns.append(l)
-        return cls.of(columns)
+        return cls.of([valuation(d, p) for d in spec.divisors])
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -123,16 +116,16 @@ def to_index_set(t: DigitTable) -> IndexSet:
 
 
 def pivot_columns(t: DigitTable) -> PivotSet:
-    """Columns where some pair of rows first differs."""
+    """Columns where some pair of rows first differs.
+
+    Two rows first differ at column j iff they share their first j digits and
+    not their first j + 1, so j is a pivot iff the rows have more distinct
+    (j+1)-digit prefixes than j-digit prefixes: a residue tree node splits.
+    """
     if not t.rows:
         raise PreconditionError("digit table needs at least one row")
-    cols = set()
-    for a, b in itertools.combinations(t.rows, 2):
-        for j in range(t.M):
-            if a[j] != b[j]:
-                cols.add(j)
-                break
-    return PivotSet.of(cols)
+    prefixes = [len({row[:j] for row in t.rows}) for j in range(t.M + 1)]
+    return PivotSet.of(j for j in range(t.M) if prefixes[j + 1] > prefixes[j])
 
 
 def mc_star(M: int, mc: PivotSet) -> PivotSet:

@@ -2,10 +2,12 @@
 
 Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
-h(0) = |J|/N.  Zero sets are computed exactly through the cyclotomic backend
-by default: one integer gather-sum of power residues tests every index at once,
-in int64 or Python ints as a bound requires.  Float mode, one inverse FFT of
-the spectrum's indicator, is the independent route that cross-checks it.
+h(0) = |J|/N.  ``dft`` and ``idft`` are numpy's FFT and inverse FFT, which
+follow it, so no N x N matrix is built.  Zero sets are computed exactly
+through the cyclotomic backend by default: one integer gather-sum of power
+residues tests every index at once, in int64 or Python ints as a bound
+requires.  Float mode, one inverse FFT of the spectrum's indicator, is the
+independent route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -70,19 +72,12 @@ class ZeroSetReport:
     structure_ok: bool
 
 
-def _dft_matrix(N: int, sign: int) -> np.ndarray:
-    k = np.arange(N)
-    return np.exp(sign * 2j * np.pi * np.outer(k, k) / N)
-
-
 def dft(x: Signal) -> Signal:
-    out = _dft_matrix(x.modulus, -1) @ x.to_numpy()
-    return Signal(x.modulus, tuple(out))
+    return Signal(x.modulus, tuple(np.fft.fft(x.to_numpy())))
 
 
 def idft(x: Signal) -> Signal:
-    out = _dft_matrix(x.modulus, +1) @ x.to_numpy() / x.modulus
-    return Signal(x.modulus, tuple(out))
+    return Signal(x.modulus, tuple(np.fft.ifft(x.to_numpy())))
 
 
 def idempotent_from_spectrum(J: IndexSet) -> Idempotent:

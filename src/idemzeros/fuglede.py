@@ -18,7 +18,7 @@ vanishes at every divisor it does not.  A translate of a set by minus its
 least member has the same class and a mask no larger, so only the masks that
 hold 0 are scanned.  A mask vanishes at a divisor iff the exact residue sums
 of its low and high bits cancel.  Those sums and their 64-bit fingerprints
-come from the oracle's limb tables.  Fingerprints rule out the low halves
+come from the oracle's one reader of its limb tables.  Fingerprints rule out the low halves
 that no high half can cancel, exact integer ids are built only for the
 rest, and those exact sums decide every flag.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import GuardExceededError
 from .fourier import idempotent_from_spectrum, zero_set
-from .oracle import _limb_tables, _sized_solution_masks
+from .oracle import _limb_sum, _sized_solution_masks
 from .zn_core import (
     DivisorSpec,
     IndexSet,
@@ -153,22 +153,6 @@ class FugledeReport:
     disagreements: tuple[ClassVerdict, ...]
 
 
-# the parts of an oracle limb: (low bit, exact residue sums, fingerprints)
-_EXACT, _FINGERPRINT = 1, 2
-
-
-def _limb_sum(limbs, masks: np.ndarray, low_bit: int, high_bit: int, part: int) -> np.ndarray:
-    """Per mask, the sum of one part of the limbs at bits [low_bit, high_bit),
-    read at the mask's bits there; masks hold those bits from bit 0."""
-    first = limbs[0][part]
-    total = np.zeros((len(masks),) + first.shape[1:], dtype=first.dtype)
-    for limb in limbs:
-        lo, table = limb[0], limb[part]
-        if low_bit <= lo < high_bit:
-            total += table[masks >> (lo - low_bit) & len(table) - 1]
-    return total
-
-
 def _class_reps(N: int) -> dict[tuple, int]:
     """Least mask of every (size, divisor flags) class of nonempty sets.
 
@@ -176,8 +160,8 @@ def _class_reps(N: int) -> dict[tuple, int]:
     larger, so the least mask of every class holds 0: only odd masks are
     scanned.  Masks split into low and high bits, and a mask vanishes at a
     proper divisor d iff the exact residue sums of its low bits and of its
-    negated high bits are equal.  Those sums come from the oracle's limb
-    tables, whose fingerprints are linear mod 2^64, so equal sums have equal
+    negated high bits are equal.  Those sums come from ``oracle._limb_sum``,
+    whose fingerprints are linear mod 2^64, so equal sums have equal
     fingerprints.  Exact sums get common integer ids only at the lows whose
     fingerprint some negated high shares; every other low gets id -1, which
     no high has.
@@ -188,12 +172,11 @@ def _class_reps(N: int) -> dict[tuple, int]:
     highs = np.arange(1 << (N - low_bits))
     low_ids, high_ids = [], []
     for d in divisors:
-        limbs = _limb_tables(N, d)
-        low_fp = _limb_sum(limbs, lows, 0, low_bits, _FINGERPRINT)
-        high_fp = -_limb_sum(limbs, highs, low_bits, N, _FINGERPRINT)
+        low_fp = _limb_sum(N, d, lows, 0, low_bits, exact=False)
+        high_fp = -_limb_sum(N, d, highs, low_bits, N, exact=False)
         hits = np.flatnonzero(np.isin(low_fp, high_fp))
-        low_sums = _limb_sum(limbs, lows[hits], 0, low_bits, _EXACT)
-        sums = np.concatenate([low_sums, -_limb_sum(limbs, highs, low_bits, N, _EXACT)])
+        low_sums = _limb_sum(N, d, lows[hits], 0, low_bits, exact=True)
+        sums = np.concatenate([low_sums, -_limb_sum(N, d, highs, low_bits, N, exact=True)])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
         _, ids = np.unique(rows_as_bytes, return_inverse=True)
         # int32 ids halve the bytes the per-high comparisons read

@@ -14,8 +14,9 @@ fingerprints: each residue's dot product with fixed odd pseudo-random weights,
 wrapped mod 2^64.  The fingerprint is linear, so a vanishing sum has
 fingerprint 0; the fingerprints are added first, one int64 per limb and mask,
 and the exact residues only at masks whose fingerprint is 0, which they
-decide.  No structural theorem prunes the search, so results stay independent
-of the enumeration machinery they validate.  One
+decide.  One reader, ``_limb_sum``, adds up the tables for this search and
+for the Fuglede class scan alike.  No structural theorem prunes the search,
+so results stay independent of the enumeration machinery they validate.  One
 guard, with no override, refuses before any work a search of more than
 SEARCH_GUARD subsets, as many as the full search at N = 24 tests.
 """
@@ -76,22 +77,34 @@ def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ..
     return tuple(limbs)
 
 
+def _limb_sum(
+    N: int, n: int, masks: np.ndarray, start: int, stop: int, *, exact: bool
+) -> np.ndarray:
+    """Per mask, the exact residue sums at index n (``exact``) or their
+    fingerprints, added over the limbs at bits [start, stop) and read at the
+    mask's bits there; masks hold bit ``start`` at bit 0.  The one reader of
+    the limb tables, for ``_vanishes`` and the Fuglede class scan alike."""
+    limbs = [(lo, table if exact else fp) for lo, table, fp in _limb_tables(N, n)]
+    shape, dtype = limbs[0][1].shape[1:], limbs[0][1].dtype
+    total = np.zeros((len(masks),) + shape, dtype=dtype)
+    for lo, part in limbs:
+        if start <= lo < stop:
+            total += part[(masks >> (lo - start) & (1 << _LIMB) - 1).astype(np.intp)]
+    return total
+
+
 def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
     """Flags: does each mask's root sum vanish at index n?  Chunked over masks.
 
     A vanishing sum has fingerprint 0, as the fingerprint is linear mod 2^64,
     so the fingerprints, one int64 per limb and mask, rule out most masks; the
     exact sums are added only at masks whose fingerprint is 0, and decide."""
-    limbs = _limb_tables(N, n)
-    limb_mask = (1 << _LIMB) - 1
     flags = np.zeros(len(masks), dtype=bool)
-    for start in range(0, len(masks), _CHUNK):
-        chunk = masks[start : start + _CHUNK]
-        indices = [(chunk >> lo & limb_mask).astype(np.intp) for lo, _, _ in limbs]
-        fingerprint = sum(fp[i] for (_, _, fp), i in zip(limbs, indices))
-        candidates = np.flatnonzero(fingerprint == 0)
-        sums = sum(table[i[candidates]] for (_, table, _), i in zip(limbs, indices))
-        flags[start + candidates] = ~sums.any(axis=1)
+    for first in range(0, len(masks), _CHUNK):
+        chunk = masks[first : first + _CHUNK]
+        candidates = np.flatnonzero(_limb_sum(N, n, chunk, 0, N, exact=False) == 0)
+        sums = _limb_sum(N, n, chunk[candidates], 0, N, exact=True)
+        flags[first + candidates] = ~sums.any(axis=1)
     return flags
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .cyclotomic import root_sum
 from .errors import InvalidDivisorError
-from .zn_core import IndexSet, euler_phi, factorize
+from .zn_core import IndexSet, euler_phi, factorize, valuation
 
 
 def is_prime(n: int) -> bool:
@@ -41,9 +41,13 @@ def ramanujan_direct(q: int, k: int) -> int:
     n*gcd(k, q) run over the same exponents mod q.  So the exact sum is taken,
     and cached, once per divisor of q.
     """
+    _check_q(q)
+    return _unit_root_sum(q, math.gcd(k, q))
+
+
+def _check_q(q: int) -> None:
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    return _unit_root_sum(q, math.gcd(k, q))
 
 
 @lru_cache(maxsize=None)
@@ -73,22 +77,14 @@ def ramanujan_mobius(q: int, k: int) -> int:
     unless every m - e is 0 or 1, so only e in {m - 1, m} are visited, and
     mu(q/d) is -1 to the number of e = m - 1.
     """
+    _check_q(q)
     g = math.gcd(k % q, q) or q
     fact = factorize(q)
     total = 0
-    for exps in itertools.product(*(range(m - 1, _valuation(g, p) + 1) for p, m in fact)):
+    for exps in itertools.product(*(range(m - 1, valuation(g, p) + 1) for p, m in fact)):
         d = math.prod(p**e for (p, _), e in zip(fact, exps))
         total += d * (-1) ** sum(m - e for (_, m), e in zip(fact, exps))
     return total
-
-
-def _valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n > 0."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def mobius(n: int) -> int:
@@ -100,6 +96,7 @@ def mobius(n: int) -> int:
 
 def gcd_class_exponential_sum(q: int, d: int, k: int) -> int:
     """Sum of w_q^{nk} over n in Z_q with gcd(n, q) = d; equals c_{q/d}(k)."""
+    _check_q(q)
     if d < 1 or q % d != 0:
         raise InvalidDivisorError(f"{d} does not divide q={q}")
     k %= q

@@ -20,6 +20,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in n >= 1."""
+    if n < 1 or p < 2:
+        raise ValueError(f"valuation needs n >= 1 and p >= 2, got n={n}, p={p}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((prime, exponent), ...), ascending primes."""
@@ -29,10 +40,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     d = 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
+            e = valuation(n, d)
+            n //= d**e
             out.append((d, e))
         d += 1
     if n > 1:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -25,6 +26,19 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def lines(proc: subprocess.CompletedProcess) -> list[str]:
     return proc.stdout.strip().splitlines()
+
+
+@pytest.mark.parametrize(
+    "N, digest",
+    [
+        (25, "71da216ef87c998a6bc8babe98ee42973f3cd630fa7d2d3739d00026f1ecf9e5"),
+        (26, "f3148c13d78be099d4792e256e8edf01020608767c5a18451a684c1ea4245012"),
+    ],
+)
+def test_fuglede_report_pinned_where_the_high_half_spans_two_limbs(N, digest, capsys):
+    # the class scan's high half holds bits 16..N-1, which span two 8-bit limbs
+    assert main(["fuglede", "report", "--N", str(N)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_zeroset_enumerate_golden():

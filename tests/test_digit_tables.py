@@ -72,6 +72,31 @@ def test_pivot_columns_examples():
     assert pivot_columns(t3).columns == (0,)
 
 
+def pivot_columns_pairwise(t: DigitTable) -> PivotSet:
+    """Reference: every pair of rows, at the column where they first differ."""
+    cols = set()
+    for a, b in itertools.combinations(t.rows, 2):
+        for j in range(t.M):
+            if a[j] != b[j]:
+                cols.add(j)
+                break
+    return PivotSet.of(cols)
+
+
+def test_pivot_columns_match_the_pairwise_scan():
+    # every nonempty subset at N in {4, 8, 9, 16}, seeded subsets at 25 and 27
+    rng = random.Random(18)
+    for N in (4, 8, 9, 16, 25, 27):
+        ctx = ModulusContext.of(N)
+        if N <= 16:
+            sets = (IndexSet.from_mask(N, mask) for mask in range(1, 1 << N))
+        else:
+            sets = (IndexSet.of(N, rng.sample(range(N), rng.randint(1, N))) for _ in range(3000))
+        for J in sets:
+            table = from_index_set(ctx, J)
+            assert pivot_columns(table) == pivot_columns_pairwise(table), J
+
+
 def test_conforming_validation():
     ConformingTable(2, 2, ((0, 0), (1, 1)))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,34 @@ def test_dft_round_trip():
         x = Signal.of([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N)])
         back = idft(dft(x)).to_numpy()
         assert np.allclose(back, x.to_numpy(), atol=1e-10)
+
+
+def dense_dft(x: Signal, sign: int) -> np.ndarray:
+    """Reference: the N x N DFT matrix times the signal, with 1/N on the inverse."""
+    k = np.arange(x.modulus)
+    out = np.exp(sign * 2j * np.pi * np.outer(k, k) / x.modulus) @ x.to_numpy()
+    return out if sign < 0 else out / x.modulus
+
+
+def test_dft_matches_the_dense_matrix():
+    rng = np.random.default_rng(64)
+    for N in range(1, 65):
+        x = Signal.of(rng.normal(size=N) + 1j * rng.normal(size=N))
+        assert np.abs(dft(x).to_numpy() - dense_dft(x, -1)).max() < 1e-9, N
+        assert np.abs(idft(x).to_numpy() - dense_dft(x, +1)).max() < 1e-9, N
+
+
+def test_dft_round_trip_builds_no_dense_matrix():
+    # a 2048 x 2048 complex matrix alone takes 64 MiB
+    x = Signal.of(np.random.default_rng(2048).normal(size=2048))
+    tracemalloc.start()
+    try:
+        back = idft(dft(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert np.allclose(back.to_numpy(), x.to_numpy(), atol=1e-10)
 
 
 def test_idempotent_values_n4():

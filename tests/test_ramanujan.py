@@ -58,6 +58,23 @@ def test_gcd_class_sum_reduces_to_lower_order():
         gcd_class_exponential_sum(12, 5, 0)
 
 
+def test_nonpositive_q_is_refused_before_any_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ramanujan, "factorize", work)
+    monkeypatch.setattr(ramanujan, "_constant_value", work)
+    for q in (0, -4):
+        calls = (
+            lambda: ramanujan_direct(q, 2),
+            lambda: ramanujan_mobius(q, 2),
+            lambda: gcd_class_exponential_sum(q, 1, 2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^q must be positive, got {q}$"):
+                call()
+
+
 def test_even_and_periodic():
     for q in (5, 8, 9, 12, 48):
         for k in range(-2 * q, 2 * q + 1):

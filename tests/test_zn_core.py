@@ -22,6 +22,7 @@ from idemzeros.zn_core import (
     reverse,
     same_modulus,
     translate,
+    valuation,
 )
 
 
@@ -36,6 +37,18 @@ def test_factorize_reconstructs():
         for p, e in factorize(n):
             prod *= p**e
         assert prod == n
+
+
+def test_valuation_matches_factorize():
+    small_primes = (2, 3, 5, 7, 11, 13)
+    for n in range(1, 10**4 + 1):
+        exponents = dict(factorize(n))
+        for p in set(small_primes) | set(exponents):
+            assert valuation(n, p) == exponents.get(p, 0), (n, p)
+    # n = 0 and p = 1 would never finish dividing
+    for n, p in ((0, 2), (-4, 2), (12, 1)):
+        with pytest.raises(ValueError):
+            valuation(n, p)
 
 
 def test_modulus_context_prime_power():
