@@ -7,7 +7,8 @@ follow it, so no N x N matrix is built.  Zero sets are computed exactly
 through the cyclotomic backend by default: one integer gather-sum of power
 residues tests every index at once, in int64 or Python ints as a bound
 requires.  Float mode, one inverse FFT of the spectrum's indicator, is the
-independent route that cross-checks it.
+independent route that cross-checks it.  ``circular_convolution`` stays the
+direct sum of N^2 terms, the definition, and refuses an N past its guard.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import check_residue_guard, residue_sums
-from .errors import ModulusMismatchError
+from .errors import GuardExceededError, ModulusMismatchError
 from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, proper_divisors
 
 # float comparisons count a DFT value or h(n) this close to its target as equal
 TOL = 1e-9
+# terms the direct circular convolution may sum, N^2 at N = 4096
+CONVOLUTION_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,16 @@ def is_idempotent(x: Signal) -> bool:
 
 
 def circular_convolution(x: Signal, y: Signal) -> Signal:
+    """The direct sum (x * y)(n) = sum_m x(m) y(n - m), the definition that
+    idempotence is checked against; N^2 terms past CONVOLUTION_GUARD are
+    refused with GuardExceededError before any work."""
     if x.modulus != y.modulus:
         raise ModulusMismatchError(f"moduli differ: {x.modulus} != {y.modulus}")
     N = x.modulus
+    if N * N > CONVOLUTION_GUARD:
+        raise GuardExceededError(
+            f"N={N}: {N * N} terms exceed the convolution guard {CONVOLUTION_GUARD}"
+        )
     a, b = x.to_numpy(), y.to_numpy()
     out = np.array([np.sum(a * b[(n - np.arange(N)) % N]) for n in range(N)])
     return Signal(N, tuple(out))

@@ -20,7 +20,12 @@ hold 0 are scanned.  A mask vanishes at a divisor iff the exact residue sums
 of its low and high bits cancel.  Those sums and their 64-bit fingerprints
 come from the oracle's one reader of its limb tables.  Fingerprints rule out the low halves
 that no high half can cancel, exact integer ids are built only for the
-rest, and those exact sums decide every flag.
+rest, and those exact sums decide every flag.  A mask's class depends on each
+half only through its popcount and ids, so each half is cut down to the least
+half of each distinct row before the halves are paired, in blocks.
+
+The spectral search is a backtracking clique search; it refuses, with
+GuardExceededError, to visit more than CLIQUE_GUARD nodes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ from .zn_core import (
 )
 
 REPORT_GUARD_N = 32
+# nodes the spectral clique search may visit; no report class needs 1,000
+CLIQUE_GUARD = 1 << 20
+# keys per block of the class scan
+_BLOCK = 1 << 15
+# highs from which sorting the lows into distinct rows saves more than it costs
+_GROUP_LOWS_FROM = 8
 
 
 def check_report_guard(N: int) -> None:
@@ -87,9 +98,18 @@ class SpectralResult:
 
 def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | None:
     """A size-element subset of Z_N containing 0 whose pairwise differences all
-    lie in ``zeros``, or None.  Plain backtracking with a count bound."""
+    lie in ``zeros``, or None.  Plain backtracking; a search that visits more
+    than CLIQUE_GUARD nodes raises GuardExceededError."""
+    nodes = 0
 
     def extend(clique: list[int], cands: list[int]) -> tuple[int, ...] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLIQUE_GUARD:
+            raise GuardExceededError(
+                f"N={N}: the spectral search for {size} rows exceeds the clique guard "
+                f"{CLIQUE_GUARD} nodes"
+            )
         if len(clique) == size:
             return tuple(clique)
         if len(clique) + len(cands) < size:
@@ -106,6 +126,13 @@ def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | 
     return extend([0], sorted(z for z in zeros if z != 0))
 
 
+def _gram_is_scaled_identity(G: np.ndarray, size: int) -> bool:
+    """``np.allclose(G, size * I, atol=1e-9)``, its default rtol included,
+    written out elementwise, in about a third of that call's time."""
+    S = size * np.eye(size)
+    return bool((np.abs(G - S) <= 1e-9 + 1e-5 * np.abs(S)).all())
+
+
 def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
     """A row set making the DFT submatrix on columns J unitary up to scaling,
     found among the differences in ``zeros``, the zero set of h_J; None when
@@ -115,7 +142,7 @@ def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
     if rows is None:
         return None
     M = np.exp(-2j * np.pi * np.outer(rows, J.members) / N)
-    if not np.allclose(M.conj().T @ M, size * np.eye(size), atol=1e-9):
+    if not _gram_is_scaled_identity(M.conj().T @ M, size):
         raise AssertionError(f"witness {rows} failed the Gram check for J={J.members}")
     return IndexSet(N, rows)
 
@@ -153,6 +180,25 @@ class FugledeReport:
     disagreements: tuple[ClassVerdict, ...]
 
 
+def _least_of_each_row(sizes: np.ndarray, ids: list[np.ndarray]) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct
+    (size, id_1, ..., id_D) row; ids are at least -1.
+
+    One stable ``np.unique`` over a mixed-radix int64 key, which is re-ranked
+    to its distinct values before a radix product would pass 2^62."""
+    key = sizes.astype(np.int64)
+    radix = int(key.max()) + 1
+    for col in ids:
+        base = int(col.max()) + 2
+        if radix * base > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            radix = int(key.max()) + 1
+        key = key * base + (col + 1)
+        radix *= base
+    _, first = np.unique(key, return_index=True)
+    return np.sort(first)
+
+
 def _class_reps(N: int) -> dict[tuple, int]:
     """Least mask of every (size, divisor flags) class of nonempty sets.
 
@@ -165,6 +211,14 @@ def _class_reps(N: int) -> dict[tuple, int]:
     fingerprints.  Exact sums get common integer ids only at the lows whose
     fingerprint some negated high shares; every other low gets id -1, which
     no high has.
+
+    A mask's key depends on each half only through its (popcount, ids) row,
+    so each half is cut down to the least half of each distinct row; with
+    fewer than _GROUP_LOWS_FROM highs the lows are kept whole, as sorting
+    them would cost more than it saves.  The kept highs are then scanned in
+    ascending order against the kept lows, in blocks of about _BLOCK keys.
+    Rows ascend by high and columns by low, so a key's least position in a
+    block, in row-major order, holds its least mask.
     """
     divisors = proper_divisors(N)
     low_bits = min(N, 16)
@@ -179,7 +233,7 @@ def _class_reps(N: int) -> dict[tuple, int]:
         sums = np.concatenate([low_sums, -_limb_sum(N, d, highs, low_bits, N, exact=True)])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]
         _, ids = np.unique(rows_as_bytes, return_inverse=True)
-        # int32 ids halve the bytes the per-high comparisons read
+        # int32 ids halve the bytes the block comparisons read
         ids = ids.astype(np.int32)
         lo_ids = np.full(len(lows), -1, dtype=np.int32)
         lo_ids[hits] = ids[: len(hits)]
@@ -190,19 +244,30 @@ def _class_reps(N: int) -> dict[tuple, int]:
     bits = [key_dtype.type(1 << (8 + i)) for i in range(len(divisors))]
     low_sizes = np.bitwise_count(lows).astype(key_dtype)
     high_sizes = np.bitwise_count(highs).astype(key_dtype)
+    if len(highs) >= _GROUP_LOWS_FROM:
+        keep = _least_of_each_row(low_sizes, low_ids)
+        lows, low_sizes, low_ids = lows[keep], low_sizes[keep], [ids[keep] for ids in low_ids]
+    keep = _least_of_each_row(high_sizes, high_ids)
+    highs, high_sizes, high_ids = highs[keep], high_sizes[keep], [ids[keep] for ids in high_ids]
     seen = np.zeros(n_keys, dtype=bool)
     reps: dict[int, int] = {}
-    for high in range(len(highs)):
-        keys = low_sizes + high_sizes[high]
+    rows = max(1, _BLOCK // len(lows))
+    for first in range(0, len(highs), rows):
+        block = slice(first, first + rows)
+        keys = high_sizes[block, None] + low_sizes
         for lo, hi, bit in zip(low_ids, high_ids, bits):
-            keys |= (lo == hi[high]) * bit
-        present = np.zeros(n_keys, dtype=bool)
-        present[keys] = True
-        # Masks grow with ``high``, so a key's first chunk holds its least mask.
-        new = np.flatnonzero(present & ~seen)
+            keys |= (lo == hi[block, None]) * bit
+        keys = keys.ravel()
+        fresh = np.flatnonzero(~seen[keys])
+        if not fresh.size:
+            continue
+        at = np.full(n_keys, keys.size)
+        np.minimum.at(at, keys[fresh], fresh)
+        new = np.flatnonzero(at < keys.size)
         seen[new] = True
-        for key in new.tolist():
-            reps[key] = high << low_bits | int(lows[np.argmax(keys == key)])
+        at = at[new]
+        masks = highs[first + at // len(lows)] << low_bits | lows[at % len(lows)]
+        reps.update(zip(new.tolist(), masks.tolist()))
     return {
         (key & 255, tuple(bool(key >> (8 + i) & 1) for i in range(len(divisors)))): mask
         for key, mask in reps.items()

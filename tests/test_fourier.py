@@ -93,6 +93,13 @@ def test_convolution_basics():
         circular_convolution(x, Signal.of([1, 2]))
 
 
+def test_convolution_past_its_guard_is_refused_before_any_work(monkeypatch):
+    x = Signal.of([1] * 4097)
+    monkeypatch.setattr(Signal, "to_numpy", lambda self: pytest.fail("signal read"))
+    with pytest.raises(GuardExceededError, match="exceed the convolution guard"):
+        circular_convolution(x, x)
+
+
 def test_zero_set_structure_and_divisors():
     report = zero_set(idempotent_from_spectrum(IndexSet.of(8, [0, 1])))
     assert report.zero_set.members == (4,)

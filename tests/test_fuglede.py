@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 from math import comb
 
 import numpy as np
 import pytest
 
-from idemzeros import fuglede, oracle
+from idemzeros import cli, fuglede, oracle
 from idemzeros.cyclotomic import power_residue_matrix, subset_sums
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
@@ -188,7 +189,7 @@ def class_reps_by_unique_ids(N: int) -> dict[tuple, int]:
 def test_class_reps_match_the_scan_over_every_mask():
     # the reference scans every mask and ids the exact sums of every half,
     # from its own residue rows, not the oracle's limb tables
-    for N in range(1, 25):
+    for N in range(1, 28):
         assert fuglede._class_reps(N) == class_reps_by_unique_ids(N), N
 
 
@@ -201,14 +202,53 @@ def test_class_reps_decided_by_exact_sums(monkeypatch):
         return tuple((lo, table, np.zeros_like(fp)) for lo, table, fp in limb_tables(N, n))
 
     monkeypatch.setattr(oracle, "_limb_tables", zeroed)
-    for N in (8, 12, 16, 18, 20, 23):
+    for N in (8, 12, 16, 18, 20, 23, 25, 27):
         assert fuglede._class_reps(N) == class_reps_by_unique_ids(N), N
+
+
+def test_distinct_rows_stay_apart_past_the_radix_bound():
+    # bases 2, 2 and 2^32 twice: without a re-rank, the size and the first
+    # id would be shifted past bit 63, and rows 0 and 1 would share a key
+    sizes = np.array([0, 1, 1, 0, 1])
+    ids = [
+        np.zeros(5, dtype=np.int64),
+        np.array([5, 5, 2**32 - 2, 5, 5]),
+        np.array([7, 7, 2**32 - 2, 7, 7]),
+    ]
+    assert fuglede._least_of_each_row(sizes, ids).tolist() == [0, 1, 2]
+    assert fuglede._least_of_each_row(sizes, []).tolist() == [0, 1]
+
+
+def test_class_reps_in_closed_form_at_prime_moduli():
+    # at a prime N a nonempty set vanishes at 1 iff it is all of Z_N, so the
+    # least set of each size s is {0, ..., s-1}
+    for N in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        expected = {(s, (False,)): (1 << s) - 1 for s in range(1, N)}
+        expected[N, (True,)] = (1 << N) - 1
+        assert fuglede._class_reps(N) == expected, N
 
 
 def test_report_sets_checked_with_size_cap():
     report = fuglede_report(ModulusContext.of(9), max_set_size=4)
     assert report.sets_checked == sum(comb(9, k) for k in range(1, 5))
     assert {v.size for v in report.classes} == {1, 2, 3, 4}
+
+
+def test_gram_check_is_the_allclose_predicate():
+    rng = np.random.default_rng(19)
+    for size in (1, 2, 4, 8):
+        exact = size * np.eye(size)
+        off = exact.copy()
+        off[0, -1] += 2e-9
+        diagonal = exact.copy()
+        diagonal[-1, -1] += 0.5e-5 * size
+        crafted = [exact, diagonal, exact + rng.normal(0, 1e-9, (size, size))]
+        crafted += [exact * (1 + rng.normal(0, 1e-5, (size, size)))]
+        for G in crafted + ([off] if size > 1 else []):
+            expected = np.allclose(G, exact, atol=1e-9)
+            assert fuglede._gram_is_scaled_identity(G, size) == expected, (size, G)
+        assert fuglede._gram_is_scaled_identity(diagonal, size)
+        assert size == 1 or not fuglede._gram_is_scaled_identity(off, size)
 
 
 def test_report_witnesses_pass_the_gram_check(monkeypatch):
@@ -252,3 +292,17 @@ def test_spectral_and_partner_checks_hit_the_residue_guard(monkeypatch):
             is_spectral(J)
         with pytest.raises(GuardExceededError, match="exceed the residue guard$"):
             list(find_tiling_partners(J))
+
+
+def test_spectral_clique_search_stops_at_its_guard(monkeypatch, capsys):
+    # J = {0, 1, 3, 4, 6, 7, 9, 10} in Z_12 is not spectral; the search that
+    # shows it visits 16 nodes, and a refused search is not a verdict
+    J = IndexSet.of(12, [0, 1, 3, 4, 6, 7, 9, 10])
+    monkeypatch.setattr(fuglede, "CLIQUE_GUARD", 16)
+    assert is_spectral(J) == fuglede.SpectralResult(False, None)
+    monkeypatch.setattr(fuglede, "CLIQUE_GUARD", 15)
+    with pytest.raises(GuardExceededError, match="exceeds the clique guard 15 nodes$"):
+        is_spectral(J)
+    assert cli.main(["fuglede", "spectral", "--N", "12", "--J", "0,1,3,4,6,7,9,10"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["code"] == "guard-exceeded" and out["message"].endswith("clique guard 15 nodes")
