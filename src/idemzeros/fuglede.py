@@ -55,7 +55,8 @@ REPORT_GUARD_N = 32
 CLIQUE_GUARD = 1 << 20
 # keys per block of the class scan
 _BLOCK = 1 << 15
-# highs from which sorting the lows into distinct rows saves more than it costs
+# highs from which sorting saves more than it costs: the lows into distinct
+# rows, and the highs' fingerprints for the search of the lows that match one
 _GROUP_LOWS_FROM = 8
 
 
@@ -210,7 +211,10 @@ def _class_reps(N: int) -> dict[tuple, int]:
     whose fingerprints are linear mod 2^64, so equal sums have equal
     fingerprints.  Exact sums get common integer ids only at the lows whose
     fingerprint some negated high shares; every other low gets id -1, which
-    no high has.
+    no high has.  From _GROUP_LOWS_FROM highs on, those lows are found by a
+    binary search in the sorted high fingerprints; below, by ``np.isin``,
+    which compares with a few highs directly.  (With more highs ``np.isin``
+    sorts through ``np.unique``, which loads ``numpy.ma``.)
 
     A mask's key depends on each half only through its (popcount, ids) row,
     so each half is cut down to the least half of each distinct row; with
@@ -228,7 +232,12 @@ def _class_reps(N: int) -> dict[tuple, int]:
     for d in divisors:
         low_fp = _limb_sum(N, d, lows, 0, low_bits, exact=False)
         high_fp = -_limb_sum(N, d, highs, low_bits, N, exact=False)
-        hits = np.flatnonzero(np.isin(low_fp, high_fp))
+        if len(highs) < _GROUP_LOWS_FROM:
+            hits = np.flatnonzero(np.isin(low_fp, high_fp))
+        else:
+            high_fp.sort()
+            at = np.searchsorted(high_fp, low_fp).clip(max=len(high_fp) - 1)
+            hits = np.flatnonzero(high_fp[at] == low_fp)
         low_sums = _limb_sum(N, d, lows[hits], 0, low_bits, exact=True)
         sums = np.concatenate([low_sums, -_limb_sum(N, d, highs, low_bits, N, exact=True)])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]

@@ -1,24 +1,26 @@
 """Independent ground truth: exhaustive subset search with exact zero tests.
 
 One search answers every query.  It builds the mask of every subset of Z_N
-with at most ``cap`` members by doubling over the N positions, then keeps the
-masks whose root sum vanishes at each prescribed zero and, for an exact zero
-set, at no other index.  The pass over the full table for the least zero is
-cached apart, so searches that share their least zero share that pass; the
-other zeros, and the exact-mode indices, are tested on its survivors.  A root
-sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the N-th
-cyclotomic polynomial, added up from subset-sum tables over fixed-width limbs
-of the mask, cached per (N, n), in int16 when a bound on every partial sum
-allows and in int64 otherwise.  Next to each table the cache entry holds its
-fingerprints: each residue's dot product with fixed odd pseudo-random weights,
-wrapped mod 2^64.  The fingerprint is linear, so a vanishing sum has
-fingerprint 0; the fingerprints are added first, one int64 per limb and mask,
-and the exact residues only at masks whose fingerprint is 0, which they
-decide.  One reader, ``_limb_sum``, adds up the tables for this search and
-for the Fuglede class scan alike.  No structural theorem prunes the search,
-so results stay independent of the enumeration machinery they validate.  One
-guard, with no override, refuses before any work a search of more than
-SEARCH_GUARD subsets, as many as the full search at N = 24 tests.
+with at most ``cap`` members by doubling over the N positions, once per
+(N, cap), then keeps the masks whose root sum vanishes at each prescribed
+zero and, for an exact zero set, at no other index.  The pass over the full
+table for the least zero is cached apart, so searches that share their least
+zero share that pass, and searches with other least zeros share the table;
+the other zeros, and the exact-mode indices, are tested on its survivors.  A
+root sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the
+N-th cyclotomic polynomial, added up from subset-sum tables over fixed-width
+limbs of the mask, cached per (N, n) and built for all limbs in one doubling,
+in int16 when a bound on every partial sum allows and in int64 otherwise.
+Next to each table the cache entry holds its fingerprints: each residue's dot
+product with fixed odd pseudo-random weights, wrapped mod 2^64.  The
+fingerprint is linear, so a vanishing sum has fingerprint 0; the fingerprints
+are added first, one int64 per limb and mask, and the exact residues only at
+masks whose fingerprint is 0, which they decide.  One reader, ``_limb_sum``,
+adds up the tables for this search and for the Fuglede class scan alike.  No
+structural theorem prunes the search, so results stay independent of the
+enumeration machinery they validate.  One guard, with no override, refuses
+before any work a search of more than SEARCH_GUARD subsets, as many as the
+full search at N = 24 tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cyclotomic import power_residue_matrix, subset_sums
+from .cyclotomic import power_residue_matrix
 from .digit_tables import PivotSet, _union_masks, mc_star, solution_masks
 from .errors import GuardExceededError
 from .zn_core import (
@@ -62,19 +64,28 @@ def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ..
     """(low bit, table, fingerprints) per limb of _LIMB mask bits: the exact
     residue sums at index n of every subset of the limb's positions, and each
     sum's dot product with _fingerprint_weights, wrapped mod 2^64; read-only,
-    since the cache shares them."""
+    since the cache shares them.
+
+    All limbs are built at once: the residue rows, padded with zero rows to
+    whole limbs, are doubled over the _LIMB bits in one (limbs, 2^_LIMB, phi)
+    array, and the fingerprints of every limb are its rows' fingerprints
+    summed by the bits of each table index, in one matmul.  Entries of the
+    last limb past bit N - 1 are never read."""
     rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
     # every partial sum is bounded by the column sums of |rows|
     dtype = np.int16 if np.abs(rows).sum(axis=0).max() < 1 << 15 else np.int64
-    weights = _fingerprint_weights(rows.shape[1])
-    limbs = []
-    for lo in range(0, N, _LIMB):
-        table = subset_sums(rows[lo : lo + _LIMB])
-        limbs.append((lo, table.astype(dtype), table @ weights))
-    for _, table, fingerprints in limbs:
-        table.setflags(write=False)
-        fingerprints.setflags(write=False)
-    return tuple(limbs)
+    limbs = -(-N // _LIMB)
+    padded = np.zeros((limbs * _LIMB, rows.shape[1]), dtype=dtype)
+    padded[:N] = rows
+    padded = padded.reshape(limbs, _LIMB, -1)
+    tables = np.zeros((limbs, 1, rows.shape[1]), dtype=dtype)
+    for bit in range(_LIMB):
+        tables = np.concatenate([tables, tables + padded[:, bit, None]], axis=1)
+    bits = np.arange(1 << _LIMB)[:, None] >> np.arange(_LIMB) & 1
+    fingerprints = (padded @ _fingerprint_weights(rows.shape[1])) @ bits.T
+    tables.setflags(write=False)
+    fingerprints.setflags(write=False)
+    return tuple(zip(range(0, N, _LIMB), tables, fingerprints))
 
 
 def _limb_sum(
@@ -108,8 +119,12 @@ def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
     return flags
 
 
+@lru_cache(maxsize=1)
 def _subset_masks(N: int, cap: int) -> np.ndarray:
-    """Ascending masks of the subsets of Z_N with at most ``cap`` members."""
+    """Ascending masks of the subsets of Z_N with at most ``cap`` members;
+    read-only, since the cache shares them.  Built once per (N, cap) for the
+    passes of every least zero, and for the zero-less search, which returns
+    it as it is."""
     total = sum(comb(N, k) for k in range(cap + 1))
     # int64 holds bits 0..62; wider masks are Python ints
     masks = np.zeros(total, dtype=np.int64 if N <= 62 else object)
@@ -122,6 +137,7 @@ def _subset_masks(N: int, cap: int) -> np.ndarray:
         np.bitwise_or(masks[:built][grow], 1 << j, out=masks[new])
         sizes[new] = sizes[:built][grow] + 1
         built = new.stop
+    masks.setflags(write=False)
     return masks
 
 
@@ -130,7 +146,8 @@ def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
     """Ascending masks of the subsets with at most ``cap`` members whose root
     sum vanishes at index n; read-only, since the cache shares them.  The one
     pass over the full subset table, shared by every search whose least
-    prescribed zero is n."""
+    prescribed zero is n; the table itself is built once per (N, cap) for
+    every n."""
     masks = _subset_masks(N, cap)
     masks = masks[_vanishes(N, masks, n)]
     masks.setflags(write=False)
@@ -229,7 +246,8 @@ def compare_with_theorem(
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     zeros = expand_zero_spec(spec)
     oracle_side = _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap)
-    theorem_side = np.array(solution_masks(ctx, mc, cap), dtype=oracle_side.dtype)
+    masks = solution_masks(ctx, mc, cap)
+    theorem_side = np.fromiter(masks, dtype=oracle_side.dtype, count=len(masks))
     theorem_side.sort()
     only_oracle = only_theorem = ()
     # both sides ascending; only a difference becomes Python ints and index sets

@@ -102,6 +102,19 @@ def test_package_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", check]).returncode == 0
 
 
+def test_large_report_leaves_numpy_ma_unloaded():
+    # at N = 23 the class scan matches fingerprints against 128 highs, past
+    # where np.isin would sort them through np.unique, which loads numpy.ma
+    check = (
+        "import sys\n"
+        "from idemzeros.fuglede import fuglede_report\n"
+        "from idemzeros.zn_core import ModulusContext\n"
+        "fuglede_report(ModulusContext.of(23))\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", check]).returncode == 0
+
+
 EXPORTS = [
     "ComparisonReport", "ConformingTable", "DesignResult", "DigitTable",
     "DiscreteSimulation", "DivisorSpec", "DomainError", "FragmentSet",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idemzeros import oracle
-from idemzeros.cyclotomic import is_zero, root_sum
+from idemzeros.cyclotomic import is_zero, power_residue_matrix, root_sum, subset_sums
 from idemzeros.digit_tables import PivotSet, solution_masks
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
@@ -189,6 +189,42 @@ def test_search_shares_first_zero_filter():
                 assert oracle._vanishing.cache_info().currsize == len(least)
                 for n in least:
                     assert not oracle._vanishing(N, cap, n).flags.writeable
+
+
+def test_subset_table_built_once_per_modulus_and_cap():
+    # searches at one (N, cap) with different least zeros, and the zero-less
+    # search, which returns the table itself, share one build
+    N, cap = 27, 4
+    oracle._search.cache_clear()
+    oracle._vanishing.cache_clear()
+    oracle._subset_masks.cache_clear()
+    for zeros in ((1, 2), (3, 6), (9,), ()):
+        oracle._search(N, zeros, "vanish-at-least", cap)
+    assert oracle._vanishing.cache_info().currsize == 3
+    assert oracle._subset_masks.cache_info().misses == 1
+    table = oracle._subset_masks(N, cap)
+    assert oracle._search(N, (), "vanish-at-least", cap) is table
+    assert len(table) == sum(comb(N, k) for k in range(cap + 1))
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+def test_limb_tables_match_per_limb_subset_sums():
+    # every limb's table and fingerprints equal those of its own doubling,
+    # over the entries a mask below 2^N reaches, also in a partial last limb
+    for N in range(1, 41):
+        divisor = next((d for d in range(2, N) if N % d == 0), 0)
+        for n in {0, 1, divisor, N - 1}:
+            rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
+            weights = oracle._fingerprint_weights(rows.shape[1])
+            limbs = oracle._limb_tables(N, n)
+            assert [lo for lo, _, _ in limbs] == list(range(0, N, 8))
+            for lo, table, fingerprints in limbs:
+                expected = subset_sums(rows[lo : lo + 8])
+                reach = len(expected)
+                assert not table.flags.writeable and not fingerprints.flags.writeable
+                assert np.array_equal(table[:reach], expected), (N, n, lo)
+                assert np.array_equal(fingerprints[:reach], expected @ weights), (N, n, lo)
 
 
 def test_guard_raises():
