@@ -6,9 +6,8 @@ ground-truth arithmetic backend: a sum vanishes iff the residue polynomial is
 identically zero, with no tolerance anywhere.  ``root_sum`` adds one sum in
 Python ints; ``residue_sums`` adds many at once with numpy, in int64 where a
 bound shows no sum can overflow and in Python ints otherwise.  Only the
-matrix routines (``power_residue_matrix``, ``subset_sums``, ``residue_sums``)
-load numpy, so the scalar route of ``root_sum`` and ``ramanujan`` runs without
-it.
+matrix routines (``power_residue_matrix``, ``residue_sums``) load numpy, so
+the scalar route of ``root_sum`` and ``ramanujan`` runs without it.
 
 Every residue table starts from ``power_residues(N)``: N rows of phi(N)
 coefficients.  One guard, with no override, refuses an N for which they
@@ -140,16 +139,6 @@ def power_residue_matrix(N: int) -> np.ndarray:
         if peak <= np.iinfo(dtype).max:
             return np.array(rows, dtype=dtype)
     return np.array(rows, dtype=object)
-
-
-def subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
-    import numpy as np
-
-    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
-    for row in rows:
-        sums = np.concatenate([sums, sums + row])
-    return sums
 
 
 # One gather step of residue_sums holds at most about this many coefficients.

@@ -328,7 +328,8 @@ def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, l
                 f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
                 "lower max_cardinality or impose more divisors"
             )
-        return [m | x << shift for m in masks for x in fiber]
+        shifted = [x << shift for x in fiber]
+        return [m | x for m in masks for x in shifted]
 
     # a class below the highest digit has one element: it is empty or full
     by_size = {s: [s] for s in (0, 1) if s <= cap}

@@ -3,8 +3,10 @@ and the exact-cover tiling check.
 
 All values here are immutable; an ``IndexSet`` stores its members as a strictly
 sorted tuple so that set equality is plain sequence equality and output is
-deterministic.  Everything here is plain Python except the ordering of long
-mask listings, which loads numpy when it first runs.
+deterministic.  Everything here is plain Python except long mask listings,
+which load numpy when they first run: they are put in order with one argsort
+and turned into member tuples a chunk at a time, each distinct low and high
+half of a chunk's masks once, one tuple join per mask.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
@@ -146,8 +149,8 @@ class IndexSet:
         """A set whose members the library built as a strictly increasing tuple
         of residues in [0, modulus); skips the validation of __post_init__."""
         s = object.__new__(cls)
-        object.__setattr__(s, "modulus", modulus)
-        object.__setattr__(s, "members", members)
+        _set_modulus(s, modulus)
+        _set_members(s, members)
         return s
 
     @classmethod
@@ -182,6 +185,11 @@ class IndexSet:
     @classmethod
     def from_json(cls, obj: dict) -> "IndexSet":
         return cls.of(int(obj["N"]), obj["members"])
+
+
+# The slot descriptors write a frozen set's fields without its __setattr__.
+_set_modulus = IndexSet.__dict__["modulus"].__set__
+_set_members = IndexSet.__dict__["members"].__set__
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +237,10 @@ def _index_sets(
     ``masks`` is a list, a set or an array; the oracle's arrays pass as they
     are.  Up to 62 bits, more than _TUPLE_SORT_MAX masks go into an int64
     array, unless they are one already, and are ordered by ``_lex_ranks``
-    with one argsort; member tuples are built from the ordered masks a chunk
-    at a time.  Wider or fewer masks sort their member tuples.  Each
+    with one argsort.  Each _YIELD_CHUNK of ordered masks is split at bit
+    h = ceil(modulus / 2); each distinct low half and each distinct high half
+    becomes a member tuple once, and a mask's members are its low tuple plus
+    its high tuple.  Wider or fewer masks sort their member tuples.  Each
     ``IndexSet`` is built only when the caller asks for the next one.  Raises
     ValueError, before yielding, when a mask has bits outside [0, modulus).
     Only the int64 route loads numpy.
@@ -254,9 +264,24 @@ def _index_sets(
         # rebinding drops this frame's reference to the input list
         masks = np.fromiter(masks, np.int64, len(masks))
     masks = masks[np.argsort(_lex_ranks(modulus, masks))]
+    h = (modulus + 1) // 2
+    new, set_modulus, set_members = object.__new__, _set_modulus, _set_members
     for start in range(0, len(masks), _YIELD_CHUNK):
-        for mask in masks[start : start + _YIELD_CHUNK].tolist():
-            yield IndexSet._unchecked(modulus, _mask_members(mask, tables))
+        chunk = masks[start : start + _YIELD_CHUNK]
+        lows, low_ids = np.unique(chunk & ((1 << h) - 1), return_inverse=True)
+        highs, high_ids = np.unique(chunk >> h, return_inverse=True)
+        low = [_mask_members(m, tables) for m in lows.tolist()]
+        high = [_mask_members(m << h, tables) for m in highs.tolist()]
+        # One set per step, not a chunk's worth at once: a batch of
+        # thousands of new objects sets off full GC collections that walk
+        # every tuple the caller holds.
+        for members in map(
+            add, map(low.__getitem__, low_ids.tolist()), map(high.__getitem__, high_ids.tolist())
+        ):
+            s = new(IndexSet)
+            set_modulus(s, modulus)
+            set_members(s, members)
+            yield s
 
 
 @dataclass(frozen=True)

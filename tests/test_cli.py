@@ -41,6 +41,15 @@ def test_fuglede_report_pinned_where_the_high_half_spans_two_limbs(N, digest, ca
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_zeroset_enumerate_pinned_across_chunks(capsys):
+    # 65,536 sets in 16 chunks of the listing, each decoded by its two halves
+    assert main(["zeroset", "enumerate", "--N", "16"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 << 16
+    digest = "25e39a19340dbba7bd6d96f301df5ee48cbd125965bcee4df5c227979cd9a995"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_zeroset_enumerate_golden():
     proc = run_cli("zeroset", "enumerate", "--N", "4", "--divisors", "2")
     assert proc.returncode == 0

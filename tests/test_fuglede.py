@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idemzeros import cli, fuglede, oracle
-from idemzeros.cyclotomic import power_residue_matrix, subset_sums
+from idemzeros.cyclotomic import power_residue_matrix
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
     find_tiling_partners,
@@ -144,6 +144,14 @@ def test_report_reps_are_least_masks_of_their_classes():
     # member-tuple order).
     for v in fuglede_report(ModulusContext.of(16)).classes:
         assert min(K.mask for K in bracelet(v.representative)) == v.representative.mask
+
+
+def subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
+    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
 def class_reps_by_unique_ids(N: int) -> dict[tuple, int]:

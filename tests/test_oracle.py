@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idemzeros import oracle
-from idemzeros.cyclotomic import is_zero, power_residue_matrix, root_sum, subset_sums
+from idemzeros.cyclotomic import is_zero, power_residue_matrix, root_sum
 from idemzeros.digit_tables import PivotSet, solution_masks
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
@@ -207,6 +207,14 @@ def test_subset_table_built_once_per_modulus_and_cap():
     assert len(table) == sum(comb(N, k) for k in range(cap + 1))
     with pytest.raises(ValueError):
         table[0] = 1
+
+
+def subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Entry i is the sum of the rows selected by the bits of i, built by doubling."""
+    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
 def test_limb_tables_match_per_limb_subset_sums():

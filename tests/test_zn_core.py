@@ -172,6 +172,27 @@ def test_index_sets_order_matches_member_sort():
     assert len(masks) > cut
     expected = sorted(_validated(N, m).members for m in masks)
     assert [J.members for J in _index_sets(N, masks)] == expected
+    # one full chunk and a short third one, odd and even widths up to 62
+    # bits, and masks held in the low or the high half alone
+    chunk = zn_core._YIELD_CHUNK
+    for N in (9, 16, 17, 27, 31, 33, 61, 62):
+        h = (N + 1) // 2
+        for n in (chunk, 2 * chunk + 1):
+            for masks in (
+                [rng.getrandbits(N) for _ in range(n)],
+                [rng.getrandbits(h) for _ in range(n)],
+                [rng.getrandbits(N - h) << h for _ in range(n)],
+            ):
+                got = list(_index_sets(N, masks))
+                expected = sorted((_validated(N, m) for m in masks), key=lambda J: J.members)
+                assert got == expected, (N, n)
+                assert list(map(hash, got)) == list(map(hash, expected)), (N, n)
+                for J in got:
+                    assert type(J.members) is tuple and not hasattr(J, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            got[-1].members = ()
+        with pytest.raises(FrozenInstanceError):
+            got[-1].modulus = N + 1
 
 
 def test_index_sets_rejects_bits_outside_modulus():
