@@ -4,16 +4,17 @@ A sum of roots is represented by its residue modulo the N-th cyclotomic
 polynomial, with arbitrary-precision integer coefficients.  This is the
 ground-truth arithmetic backend: a sum vanishes iff the residue polynomial is
 identically zero, with no tolerance anywhere.  ``root_sum`` adds one sum in
-Python ints; ``residue_sums`` adds many at once with numpy, in int64 where a
-bound shows no sum can overflow and in Python ints otherwise.  Only the
-matrix routines (``power_residue_matrix``, ``residue_sums``) load numpy, so
-the scalar route of ``root_sum`` and ``ramanujan`` runs without it.
+Python ints.  Only ``power_residue_matrix``, the table that the oracle's limb
+tables and the Fuglede class scan are built from, loads numpy, so the scalar
+route of ``root_sum`` and ``ramanujan`` runs without it.
 
 Every residue table starts from ``power_residues(N)``: N rows of phi(N)
 coefficients.  One guard, with no override, refuses an N for which they
 exceed RESIDUE_GUARD before any is built, and so covers ``root_sum``,
-``residue_sums`` and each module that sums roots of unity: ``fourier``,
-``fuglede``, ``oracle`` and ``ramanujan``.
+``power_residue_matrix`` and each module that sums roots of unity:
+``fuglede``, ``oracle`` and ``ramanujan``.  ``fourier.zero_set`` builds no
+residues in exact mode, but checks the same guard first, so it refuses the
+same N.
 """
 
 from __future__ import annotations
@@ -139,37 +140,6 @@ def power_residue_matrix(N: int) -> np.ndarray:
         if peak <= np.iinfo(dtype).max:
             return np.array(rows, dtype=dtype)
     return np.array(rows, dtype=object)
-
-
-# One gather step of residue_sums holds at most about this many coefficients.
-_GATHER_ENTRIES = 1 << 20
-
-
-def residue_sums(N: int, exponents: np.ndarray) -> np.ndarray:
-    """Row i holds the coefficients of the exact residue of
-    sum_j w_N^{exponents[i, j]}: the sum of the rows of power_residue_matrix(N)
-    that row i of the 2-D array ``exponents`` selects, exponents taken mod N.
-
-    The sums are int64 when (row length) * max|coefficient| < 2^63 bounds every
-    partial sum, and Python ints in an object array otherwise.  Rows are
-    gathered in steps of at most about _GATHER_ENTRIES coefficients, so memory
-    stays bounded at any N.
-    """
-    import numpy as np
-
-    table = power_residue_matrix(N)
-    exponents = np.asarray(exponents) % N
-    rows, width = exponents.shape
-    deg = table.shape[1]
-    wide = width * int(np.abs(table).max()) >= 1 << 63
-    sums = np.zeros((rows, deg), dtype=object if wide else np.int64)
-    step_cols = max(1, min(width, _GATHER_ENTRIES // deg))
-    step_rows = max(1, _GATHER_ENTRIES // (step_cols * deg))
-    for c in range(0, width, step_cols):
-        for r in range(0, rows, step_rows):
-            block = exponents[r : r + step_rows, c : c + step_cols]
-            sums[r : r + step_rows] += table[block].sum(axis=1, dtype=sums.dtype)
-    return sums
 
 
 def root_sum(N: int, exponents: Iterable[int]) -> CycloElem:

@@ -3,24 +3,26 @@
 Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
 h(0) = |J|/N.  ``dft`` and ``idft`` are numpy's FFT and inverse FFT, which
-follow it, so no N x N matrix is built.  Zero sets are computed exactly
-through the cyclotomic backend by default: one integer gather-sum of power
-residues tests every index at once, in int64 or Python ints as a bound
-requires.  Float mode, one inverse FFT of the spectrum's indicator, is the
-independent route that cross-checks it.  ``circular_convolution`` stays the
-direct sum of N^2 terms, the definition, and refuses an N past its guard.
+follow it, so no N x N matrix is built.  Zero sets are exact by default:
+h_J vanishes on the gcd class of a divisor d iff the N/d-th cyclotomic
+polynomial divides the sum of x^(j mod N/d) over J, which a few difference
+operators on the count vector of J mod N/d decide in Python ints.  Float
+mode, one inverse FFT of the spectrum's indicator, is the independent route
+that cross-checks it.  ``circular_convolution`` stays the direct sum of N^2
+terms, the definition, and refuses an N past its guard.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import check_residue_guard, residue_sums
+from .cyclotomic import check_residue_guard
 from .errors import GuardExceededError, ModulusMismatchError
-from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, proper_divisors
+from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, factorize, proper_divisors
 
 # float comparisons count a DFT value or h(n) this close to its target as equal
 TOL = 1e-9
@@ -115,20 +117,37 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     The zero set of a nonzero idempotent is a disjoint union of gcd classes;
     the zero idempotent (empty spectrum) additionally vanishes at 0, which has
     no class below N, so 0 is accounted for separately in the structure check.
+    Exact mode builds its zero set from whole classes, so there the check
+    holds by construction; it is a real check of float mode.
 
-    Exact mode sums the power residues of the exponents j*n mod N, j in J, for
-    all n at once with ``cyclotomic.residue_sums`` (int64 when a bound allows,
-    Python ints otherwise); n is a zero iff its residue sum is all zeros.  The
-    residue guard refuses a too-large N before the N x |J| exponents are built.
-    Float mode takes h at all n from one inverse FFT of the indicator of J and
-    reads a zero wherever |h(n)| < TOL.
+    Exact mode tests one gcd class at a time.  h vanishes on the class of a
+    divisor d of N iff Phi_m, m = N/d, divides c(x) = sum_{j in J} x^(j mod m)
+    in Z[x]/(x^m - 1).  There the product of x^(m/p) - 1 over the primes p | m
+    is divisible by every Phi_e with e | m, e < m, and not by Phi_m, so Phi_m
+    divides c iff the count vector of J mod m becomes all zeros under
+    c <- c - roll(c, m/p), once for each p.  At d = N, m = 1, this says that
+    0 is a zero iff J is empty.  The test is in Python ints and costs
+    O(|J| + m * omega(m)) per divisor; the residue guard still refuses a
+    too-large N before any divisor is tested.  Float mode takes h at all n
+    from one inverse FFT of the indicator of J and reads a zero wherever
+    |h(n)| < TOL.
     """
     N = h.modulus
     J = h.spectrum.members
     if mode == "exact":
         check_residue_guard(N)
-        sums = residue_sums(N, np.outer(np.arange(N), np.array(J, dtype=np.int64)))
-        zeros = np.flatnonzero((sums == 0).all(axis=1)).tolist()
+        vanishing = set()
+        for d in proper_divisors(N) + (N,):
+            m = N // d
+            counts = [0] * m
+            for j in J:
+                counts[j % m] += 1
+            for p, _ in factorize(m):
+                s = m // p
+                counts = [a - b for a, b in zip(counts, counts[-s:] + counts[:-s])]
+            if not any(counts):
+                vanishing.add(d)
+        zeros = [n for n in range(N) if math.gcd(n, N) in vanishing]
     elif mode == "float":
         indicator = np.zeros(N)
         indicator[list(J)] = 1.0

@@ -205,11 +205,11 @@ def test_negative_max_size_is_invalid(args, capsys):
 )
 def test_guard_refusals_are_error_objects(args, capsys, monkeypatch):
     # a simulation, zero set or root sum that passed its guard would fail
-    # here, at the random draw, at the exponent array or at the power residues
+    # here, at the random draw, at the divisor tests or at the power residues
     import numpy as np
-    from idemzeros import cyclotomic
+    from idemzeros import cyclotomic, fourier
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("simulated"))
-    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("exponents built"))
+    monkeypatch.setattr(fourier, "proper_divisors", lambda N: pytest.fail("divisors tested"))
     monkeypatch.setattr(cyclotomic, "cyclotomic_poly", lambda N: pytest.fail("summed"))
     assert main(list(args)) == 1
     obj = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idemzeros import cyclotomic
+from idemzeros import cyclotomic, fourier
 from idemzeros.cyclotomic import is_zero, root_sum
 from idemzeros.errors import GuardExceededError, ModulusMismatchError
 from idemzeros.fourier import (
@@ -140,7 +140,7 @@ def test_structure_ok_randomized():
         assert zero_set(idempotent_from_spectrum(J)).structure_ok
 
 
-def test_exact_zero_set_matches_scalar_root_sums(monkeypatch):
+def test_exact_zero_set_matches_scalar_root_sums():
     # the scalar reference: one exact root_sum per index n
     def scalar_zeros(J):
         N = J.modulus
@@ -156,29 +156,53 @@ def test_exact_zero_set_matches_scalar_root_sums(monkeypatch):
         full = zero_set(idempotent_from_spectrum(IndexSet.of(N, range(N))), mode="exact")
         assert full.zero_set.members == tuple(range(1, N)) and full.structure_ok
     cases += [IndexSet.of(N, range(N)) for N in (1, 2, 12, 30, 64, 105, 127)]
-    # at N = 127, |J| = 127 even the default gather takes several steps
-    assert 127 * 127 * 126 > cyclotomic._GATHER_ENTRIES
     # Phi_105 has a coefficient of -2
     assert -2 in cyclotomic.cyclotomic_poly(105).coeffs
     cases += [random_index_set(rng, 105) for _ in range(6)]
-    want = [scalar_zeros(J) for J in cases]
-    # the default gather steps, then steps small enough to split rows and columns
-    for entries in (cyclotomic._GATHER_ENTRIES, 1 << 12):
-        monkeypatch.setattr(cyclotomic, "_GATHER_ENTRIES", entries)
-        for J, zeros in zip(cases, want):
-            report = zero_set(idempotent_from_spectrum(J), mode="exact")
-            assert report.zero_set.members == zeros, J
-            assert report.structure_ok, J
+    for J in cases:
+        report = zero_set(idempotent_from_spectrum(J), mode="exact")
+        assert report.zero_set.members == scalar_zeros(J), J
+        assert report.structure_ok, J
+
+
+def test_three_prime_zero_set_without_coset_cover():
+    # at N = 30 the sum over J of w^j vanishes, though J is no disjoint union
+    # of rotated 2-, 3- or 5-gons: the class of 1 is the whole zero set
+    J = IndexSet(30, (5, 6, 12, 18, 24, 25))
+    report = zero_set(idempotent_from_spectrum(J), mode="exact")
+    assert report.zero_set.members == (1, 7, 11, 13, 17, 19, 23, 29)
+    assert report.zero_divisors.divisors == (1,)
+    assert report.zero_set.members == tuple(
+        n for n in range(30) if is_zero(root_sum(30, (j * n for j in J)))
+    )
+
+
+def coset_union(rng: random.Random, N: int) -> IndexSet:
+    """A union of up to three cosets t + dZ_N, 1 < d < N, d | N."""
+    steps = [d for d in range(2, N) if N % d == 0]
+    members = []
+    for d in rng.sample(steps, rng.randint(1, 3)):
+        t = rng.randrange(N)
+        members += range(t, t + N, d)
+    return IndexSet.of(N, members)
+
+
+def exact_and_float_agree(J: IndexSet) -> None:
+    h = idempotent_from_spectrum(J)
+    assert zero_set(h, mode="exact").zero_set == zero_set(h, mode="float").zero_set, J
 
 
 def test_exact_matches_float():
     rng = random.Random(31)
     for _ in range(500):
-        N = rng.randint(2, 32)
-        h = idempotent_from_spectrum(random_index_set(rng, N))
-        exact = zero_set(h, mode="exact").zero_set
-        approx = zero_set(h, mode="float").zero_set
-        assert exact == approx
+        exact_and_float_agree(random_index_set(rng, rng.randint(2, 32)))
+    for N in range(1, 15):
+        for mask in range(1 << N):
+            exact_and_float_agree(IndexSet.from_mask(N, mask))
+    for N in (256, 1024, 2048, 4096):
+        for _ in range(6):
+            exact_and_float_agree(coset_union(rng, N))
+            exact_and_float_agree(IndexSet.of(N, rng.sample(range(N), rng.randint(1, N // 4))))
 
 
 def test_additivity_on_disjoint_spectra():
@@ -197,15 +221,18 @@ def test_additivity_on_disjoint_spectra():
 
 
 def test_residue_guard_refuses_before_the_exponents(monkeypatch):
-    # past the guard, exact mode builds the N x |J| exponents; that step is
-    # stubbed, so 4093 (4093 * 4092 <= 2^24) reaches it and 4099 is refused
+    # past the guard, exact mode tests the divisors of N, which is stubbed
+    # here, so 4093 (4093 * 4092 <= 2^24) reaches it and 4099 is refused;
+    # float mode builds no residues and is not guarded
+    assert zero_set(idempotent_from_spectrum(IndexSet(4099, (0, 1))), mode="float").zero_set.members == ()
+
     class Built(Exception):
         pass
 
-    def outer(*args):
+    def proper_divisors(N):
         raise Built
 
-    monkeypatch.setattr(np, "outer", outer)
+    monkeypatch.setattr(fourier, "proper_divisors", proper_divisors)
     with pytest.raises(Built):
         zero_set(idempotent_from_spectrum(IndexSet(4093, (0,))))
     for N in (4099, 10**12):
@@ -213,5 +240,3 @@ def test_residue_guard_refuses_before_the_exponents(monkeypatch):
         with pytest.raises(GuardExceededError) as refused:
             zero_set(h)
         assert str(refused.value) == f"{N} * phi({N}) power-residue coefficients exceed the residue guard"
-    # float mode builds no residues
-    assert zero_set(idempotent_from_spectrum(IndexSet(4099, (0, 1))), mode="float").zero_set.members == ()

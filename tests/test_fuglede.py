@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from idemzeros import cli, fuglede, oracle
+from idemzeros import cli, fourier, fuglede, oracle
 from idemzeros.cyclotomic import power_residue_matrix
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
@@ -292,8 +292,8 @@ def test_report_tiling_matches_partner_search():
 
 def test_spectral_and_partner_checks_hit_the_residue_guard(monkeypatch):
     # both take the exact zero set of h_J first, which the residue guard
-    # refuses before the exponent array is built
-    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("exponents built"))
+    # refuses before any divisor of N is tested
+    monkeypatch.setattr(fourier, "proper_divisors", lambda N: pytest.fail("divisors tested"))
     for N in (4099, 10**12):
         J = IndexSet(N, (0,))
         with pytest.raises(GuardExceededError, match="exceed the residue guard$"):
