@@ -17,12 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cyclotomic import check_residue_guard
 from .errors import GuardExceededError, ModulusMismatchError
-from .zn_core import DivisorSpec, IndexSet, expand_zero_spec, factorize, proper_divisors
+from .zn_core import DivisorSpec, IndexSet, factorize, proper_divisors
 
 # float comparisons count a DFT value or h(n) this close to its target as equal
 TOL = 1e-9
@@ -111,6 +112,29 @@ def circular_convolution(x: Signal, y: Signal) -> Signal:
     return Signal(N, tuple(out))
 
 
+@lru_cache(maxsize=None)
+def _gcd_table(N: int) -> tuple[int, ...]:
+    """gcd(n, N) for n in [0, N), so gcd(0, N) = N: the gcd class of every index."""
+    return tuple(math.gcd(n, N) for n in range(N))
+
+
+def _phi_divides(members, m: int) -> bool:
+    """Whether Phi_m divides sum_{j in members} x^(j mod m).
+
+    In Z[x]/(x^m - 1) the product of x^(m/p) - 1 over the primes p | m is
+    divisible by every Phi_e with e | m, e < m, and not by Phi_m, so Phi_m
+    divides the sum iff the count vector of the members mod m becomes all
+    zeros under c <- c - roll(c, m/p), once for each p.  At m = 1 this says
+    that the sum is empty.  Python ints, O(len(members) + m * omega(m))."""
+    counts = [0] * m
+    for j in members:
+        counts[j % m] += 1
+    for p, _ in factorize(m):
+        s = m // p
+        counts = [a - b for a, b in zip(counts, counts[-s:] + counts[:-s])]
+    return not any(counts)
+
+
 def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     """Zero set of h, its divisor part, and the gcd-class structure check.
 
@@ -118,46 +142,33 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     the zero idempotent (empty spectrum) additionally vanishes at 0, which has
     no class below N, so 0 is accounted for separately in the structure check.
     Exact mode builds its zero set from whole classes, so there the check
-    holds by construction; it is a real check of float mode.
+    holds by construction; it is a real check of float mode.  Both the zero
+    set and the check read one cached table of gcd(n, N) per N.
 
-    Exact mode tests one gcd class at a time.  h vanishes on the class of a
-    divisor d of N iff Phi_m, m = N/d, divides c(x) = sum_{j in J} x^(j mod m)
-    in Z[x]/(x^m - 1).  There the product of x^(m/p) - 1 over the primes p | m
-    is divisible by every Phi_e with e | m, e < m, and not by Phi_m, so Phi_m
-    divides c iff the count vector of J mod m becomes all zeros under
-    c <- c - roll(c, m/p), once for each p.  At d = N, m = 1, this says that
-    0 is a zero iff J is empty.  The test is in Python ints and costs
-    O(|J| + m * omega(m)) per divisor; the residue guard still refuses a
-    too-large N before any divisor is tested.  Float mode takes h at all n
-    from one inverse FFT of the indicator of J and reads a zero wherever
-    |h(n)| < TOL.
+    Exact mode tests one gcd class at a time: h vanishes on the class of a
+    divisor d of N iff Phi_m, m = N/d, divides sum_{j in J} x^(j mod m),
+    which ``_phi_divides`` decides by difference operators in Python ints, in
+    O(|J| + m * omega(m)) per divisor.  At d = N, m = 1, this says that 0 is
+    a zero iff J is empty.  The residue guard still refuses a too-large N
+    before any divisor is tested.  Float mode takes h at all n from one
+    inverse FFT of the indicator of J and reads a zero wherever |h(n)| < TOL.
     """
     N = h.modulus
     J = h.spectrum.members
     if mode == "exact":
         check_residue_guard(N)
-        vanishing = set()
-        for d in proper_divisors(N) + (N,):
-            m = N // d
-            counts = [0] * m
-            for j in J:
-                counts[j % m] += 1
-            for p, _ in factorize(m):
-                s = m // p
-                counts = [a - b for a, b in zip(counts, counts[-s:] + counts[:-s])]
-            if not any(counts):
-                vanishing.add(d)
-        zeros = [n for n in range(N) if math.gcd(n, N) in vanishing]
+        vanishing = {d for d in proper_divisors(N) + (N,) if _phi_divides(J, N // d)}
+        zeros = [n for n, g in enumerate(_gcd_table(N)) if g in vanishing]
     elif mode == "float":
         indicator = np.zeros(N)
         indicator[list(J)] = 1.0
         zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < TOL).tolist()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    zset = IndexSet(N, tuple(zeros))
-    divs = DivisorSpec.of(N, (d for d in proper_divisors(N) if d in zset.members))
-    expected = set(expand_zero_spec(divs).members)
+    members = set(zeros)
+    divs = [d for d in proper_divisors(N) if d in members]
+    classes = set(divs)
     if not J:
-        expected.add(0)
-    structure_ok = set(zset.members) == expected
-    return ZeroSetReport(zset, divs, structure_ok)
+        classes.add(N)
+    structure_ok = zeros == [n for n, g in enumerate(_gcd_table(N)) if g in classes]
+    return ZeroSetReport(IndexSet(N, tuple(zeros)), DivisorSpec(N, tuple(divs)), structure_ok)

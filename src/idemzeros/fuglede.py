@@ -24,8 +24,14 @@ rest, and those exact sums decide every flag.  A mask's class depends on each
 half only through its popcount and ids, so each half is cut down to the least
 half of each distinct row before the halves are paired, in blocks.
 
-The spectral search is a backtracking clique search; it refuses, with
-GuardExceededError, to visit more than CLIQUE_GUARD nodes.
+At N = p^M, ``is_spectral`` needs neither the zero set nor a search: J is
+spectral iff |J| = p^k, where k counts the p^j | N with Phi_{p^j} | J(x)
+(Coven and Meyerowitz's T1; Laba), and the witness is explicit.  At any
+other N it runs a backtracking clique search over the zero set, which
+refuses, with GuardExceededError, to visit more than CLIQUE_GUARD nodes.  The
+report always searches, and checks each class's verdict against T1 and T2
+read off the class's divisor flags, so the theorems and the search check
+each other.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from typing import Iterator
 
 import numpy as np
 
+from .cyclotomic import check_residue_guard
 from .errors import GuardExceededError
-from .fourier import idempotent_from_spectrum, zero_set
+from .fourier import _phi_divides, idempotent_from_spectrum, zero_set
 from .oracle import _limb_sum, _sized_solution_masks
 from .zn_core import (
     DivisorSpec,
@@ -46,6 +53,7 @@ from .zn_core import (
     ModulusContext,
     _index_sets,
     expand_zero_spec,
+    factorize,
     proper_divisors,
     tiles,
 )
@@ -134,26 +142,72 @@ def _gram_is_scaled_identity(G: np.ndarray, size: int) -> bool:
     return bool((np.abs(G - S) <= 1e-9 + 1e-5 * np.abs(S)).all())
 
 
+def _verified_witness(J: IndexSet, rows) -> IndexSet:
+    """``rows`` as an IndexSet, after the Gram check of the DFT submatrix on
+    rows x columns J; a row set that fails it raises AssertionError."""
+    N, size = J.modulus, len(J)
+    M = np.exp(-2j * np.pi * np.outer(rows, J.members) / N)
+    if not _gram_is_scaled_identity(M.conj().T @ M, size):
+        raise AssertionError(f"witness {tuple(rows)} failed the Gram check for J={J.members}")
+    return IndexSet(N, tuple(rows))
+
+
 def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
     """A row set making the DFT submatrix on columns J unitary up to scaling,
     found among the differences in ``zeros``, the zero set of h_J; None when
     there is none.  A witness that fails the Gram check raises AssertionError."""
-    N, size = J.modulus, len(J)
-    rows = _difference_clique(N, set(zeros), size)
-    if rows is None:
-        return None
-    M = np.exp(-2j * np.pi * np.outer(rows, J.members) / N)
-    if not _gram_is_scaled_identity(M.conj().T @ M, size):
-        raise AssertionError(f"witness {rows} failed the Gram check for J={J.members}")
-    return IndexSet(N, rows)
+    rows = _difference_clique(J.modulus, set(zeros), len(J))
+    return None if rows is None else _verified_witness(J, rows)
+
+
+def _t1_t2(size: int, S) -> tuple[bool, bool]:
+    """Coven and Meyerowitz's conditions (T1, T2) for a set of ``size``
+    members of Z_N whose mask polynomial J(x) is divisible by Phi_m exactly
+    for the m in S, among the m | N with m > 1.
+
+    (T1): size is the product of Phi_s(1) = p over the powers s of primes p
+    in S.  (T2): for prime powers s_1, ..., s_k in S of distinct primes, the
+    product s_1 ... s_k is in S.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for s in S:
+        f = factorize(s)
+        if len(f) == 1:
+            by_prime.setdefault(f[0][0], []).append(s)
+    t1 = size == math.prod(p ** len(ss) for p, ss in by_prime.items())
+    choices = itertools.product(*([1, *ss] for ss in by_prime.values()))
+    t2 = all(math.prod(c) in S for c in choices if math.prod(c) > 1)
+    return t1, t2
 
 
 def is_spectral(J: IndexSet) -> SpectralResult:
-    """Search for a row set making the DFT submatrix on columns J unitary."""
+    """Whether some row set makes the DFT submatrix on columns J unitary up
+    to scaling, with the least such row set that holds 0 as its witness.
+
+    At N = p^M, J is spectral iff (T1) holds, that is, iff |J| = p^k where k
+    is the number of s = p^j, 1 <= j <= M, with Phi_s | J(x) (Laba, J. London
+    Math. Soc. 65, 2002); each divisibility is one difference-operator test.
+    The witness is then {sum_s c_s N/s : 0 <= c_s < p}, with no zero set and
+    no search.  At any other N the exact zero set of h_J is built and searched
+    for a row set, a search that stops at CLIQUE_GUARD nodes.  Either witness
+    passes the Gram check or raises AssertionError; the residue guard refuses
+    a too-large N before it is factorized.
+    """
+    N = J.modulus
     if len(J) == 0:
-        return SpectralResult(True, IndexSet(J.modulus, ()))
-    witness = _spectral_witness(J, _exact_zero_members(J))
-    return SpectralResult(witness is not None, witness)
+        return SpectralResult(True, IndexSet(N, ()))
+    check_residue_guard(N)
+    primes = factorize(N)
+    if len(primes) != 1:
+        witness = _spectral_witness(J, _exact_zero_members(J))
+        return SpectralResult(witness is not None, witness)
+    p, M = primes[0]
+    S = [p**k for k in range(1, M + 1) if _phi_divides(J.members, p**k)]
+    if not _t1_t2(len(J), S)[0]:
+        return SpectralResult(False, None)
+    digits = [range(0, p * (N // s), N // s) for s in S]
+    rows = sorted(map(sum, itertools.product(*digits)))
+    return SpectralResult(True, _verified_witness(J, rows))
 
 
 @dataclass(frozen=True)
@@ -296,7 +350,16 @@ def _check_class(ctx: ModulusContext, size: int, flags: tuple, reps: dict) -> Cl
         raise AssertionError(
             f"partner {partner.members} fails the convolution check for {rep.members}"
         )
-    return ClassVerdict(size, D, witness is not None, partner is not None, rep, witness, partner)
+    spectral, tiling = witness is not None, partner is not None
+    # the theorems against the search: T1 <=> spectral at N = p^M (Laba), and
+    # T1 and T2 => spectral and tiling at every N (Coven-Meyerowitz, Laba)
+    t1, t2 = _t1_t2(size, {N // d for d in D})
+    if (ctx.is_prime_power and t1 != spectral) or (t1 and t2 and not (spectral and tiling)):
+        raise AssertionError(
+            f"T1={t1}, T2={t2} disagree with spectral={spectral}, tiling={tiling} "
+            f"for {rep.members}"
+        )
+    return ClassVerdict(size, D, spectral, tiling, rep, witness, partner)
 
 
 def fuglede_report(ctx: ModulusContext, max_set_size: int | None = None) -> FugledeReport:

@@ -16,7 +16,7 @@ from idemzeros.fourier import (
     is_idempotent,
     zero_set,
 )
-from idemzeros.zn_core import IndexSet, bracelet
+from idemzeros.zn_core import DivisorSpec, IndexSet, bracelet, expand_zero_spec, proper_divisors
 
 
 def random_index_set(rng: random.Random, N: int) -> IndexSet:
@@ -138,6 +138,28 @@ def test_structure_ok_randomized():
         N = rng.randint(2, 16)
         J = random_index_set(rng, N)
         assert zero_set(idempotent_from_spectrum(J)).structure_ok
+
+
+def test_structure_check_is_the_union_of_gcd_classes(monkeypatch):
+    # with a loose tolerance float mode reads parts of gcd classes, which the
+    # check must refuse; the reference expands each zero divisor's class
+    rng = random.Random(43)
+    refused = 0
+    for tol in (fourier.TOL, 0.05, 0.2):
+        monkeypatch.setattr(fourier, "TOL", tol)
+        for _ in range(200):
+            J = random_index_set(rng, rng.randint(1, 24))
+            N = J.modulus
+            report = zero_set(idempotent_from_spectrum(J), mode="float")
+            zeros = set(report.zero_set.members)
+            divisors = tuple(d for d in proper_divisors(N) if d in zeros)
+            expected = set(expand_zero_spec(DivisorSpec(N, divisors)).members)
+            if not J:
+                expected.add(0)
+            assert report.zero_divisors.divisors == divisors, J
+            assert report.structure_ok == (zeros == expected), (tol, J)
+            refused += not report.structure_ok
+    assert refused > 0
 
 
 def test_exact_zero_set_matches_scalar_root_sums():

@@ -20,6 +20,7 @@ from idemzeros.zn_core import (
     IndexSet,
     ModulusContext,
     bracelet,
+    factorize,
     proper_divisors,
     translate,
 )
@@ -314,3 +315,103 @@ def test_spectral_clique_search_stops_at_its_guard(monkeypatch, capsys):
     assert cli.main(["fuglede", "spectral", "--N", "12", "--J", "0,1,3,4,6,7,9,10"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["code"] == "guard-exceeded" and out["message"].endswith("clique guard 15 nodes")
+
+
+def searched(J: IndexSet) -> fuglede.SpectralResult:
+    """The verdict of the clique search over the exact zero set of h_J."""
+    witness = fuglede._spectral_witness(J, fuglede._exact_zero_members(J))
+    return fuglede.SpectralResult(witness is not None, witness)
+
+
+def test_spectral_by_t1_agrees_with_the_search_on_every_small_subset():
+    # at N = p^M the verdict and the witness come from T1 and never from the
+    # search, and equal the search's: its witness is the least clique
+    for N in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for mask in range(1, 1 << N):
+            J = IndexSet.from_mask(N, mask)
+            assert is_spectral(J) == searched(J), (N, J.members)
+
+
+def test_spectral_by_t1_agrees_with_the_report_classes():
+    for N in (16, 25, 27):
+        for v in fuglede_report(ModulusContext.of(N)).classes:
+            result = is_spectral(v.representative)
+            assert result == fuglede.SpectralResult(v.spectral, v.witness), (N, v)
+
+
+def digit_set(rng: random.Random, N: int) -> IndexSet:
+    """A translate of {sum_i d_i p^i : d_i in D_i} in Z_{p^M}, each D_i a
+    random set of base-p digits: one digit, all p, or any number."""
+    ((p, M),) = factorize(N)
+    members = {0}
+    for i in range(M):
+        D = rng.sample(range(p), rng.choice([1, 1, p, p, rng.randint(1, p)]))
+        members = {m + d * p**i for m in members for d in D}
+    t = rng.randrange(N)
+    return IndexSet.of(N, ((m + t) % N for m in members))
+
+
+def coset_union(rng: random.Random, N: int) -> IndexSet:
+    """A union of up to three cosets t + dZ_N, 1 < d < N, d | N."""
+    steps = [d for d in range(2, N) if N % d == 0]
+    members = []
+    for d in rng.sample(steps, rng.randint(1, min(3, len(steps)))):
+        t = rng.randrange(N)
+        members += range(t, t + N, d)
+    return IndexSet.of(N, members)
+
+
+def t1_from_float_zeros(J: IndexSet) -> bool:
+    """T1 with the divisors read from float mode, a route independent of the
+    difference operators: |J| = p^k for k the number of zero divisors."""
+    ((p, _),) = factorize(J.modulus)
+    report = zero_set(idempotent_from_spectrum(J), mode="float")
+    return len(J) == p ** len(report.zero_divisors.divisors)
+
+
+def test_spectral_by_t1_agrees_with_the_search_on_seeded_sets(monkeypatch):
+    # a non-spectral coset union can take the search past 2^20 nodes and
+    # seconds; with the guard at 2^16 the search is refused on a few, and
+    # there T1 from the float zero divisors must refuse them too
+    monkeypatch.setattr(fuglede, "CLIQUE_GUARD", 1 << 16)
+    rng = random.Random(25)
+    verdicts = []
+    for N in (64, 81, 125, 243, 256):
+        for make in (digit_set, coset_union):
+            for _ in range(8):
+                J = make(rng, N)
+                result = is_spectral(J)
+                assert result.spectral == t1_from_float_zeros(J), (N, J.members)
+                try:
+                    expected = searched(J)
+                except GuardExceededError:
+                    verdicts.append(None)
+                    assert result == fuglede.SpectralResult(False, None), (N, J.members)
+                    continue
+                verdicts.append(expected.spectral)
+                assert result == expected, (N, J.members)
+    assert (verdicts.count(True), verdicts.count(False), verdicts.count(None)) == (58, 17, 5)
+
+
+def test_spectral_answers_where_the_search_is_refused():
+    # the search needs more than CLIQUE_GUARD nodes on each of these
+    cases = [
+        (512, [j + 32 * k for j in (12, 13, 15, 29) for k in range(16)], (1, 2, 4, 8)),
+        (1024, [23 + 64 * k for k in range(16)] + [239 + 256 * k for k in range(4)], (1, 2)),
+        (2048, [5 + 64 * k for k in range(32)] + [100 + 512 * k for k in range(4)], (1, 2)),
+    ]
+    for N, members, divisors in cases:
+        J = IndexSet.of(N, members)
+        assert is_spectral(J) == fuglede.SpectralResult(False, None), N
+        h = idempotent_from_spectrum(J)
+        for mode in ("exact", "float"):
+            assert zero_set(h, mode=mode).zero_divisors.divisors == divisors, (N, mode)
+
+
+@pytest.mark.parametrize("N, t1_t2", [(8, (False, False)), (12, (True, True))])
+def test_report_checks_each_class_against_t1_and_t2(monkeypatch, N, t1_t2):
+    # at N = 8, T1 false contradicts the spectral classes; at N = 12, which
+    # is no prime power, T1 and T2 true claim the non-spectral ones spectral
+    monkeypatch.setattr(fuglede, "_t1_t2", lambda size, S: t1_t2)
+    with pytest.raises(AssertionError, match="disagree with spectral"):
+        fuglede_report(ModulusContext.of(N))
