@@ -9,7 +9,9 @@ itself, ``tiles``, is pure set combinatorics; it lives in ``zn_core`` and is
 re-exported here.  J is spectral iff some equally-sized row set I has all
 pairwise differences inside the zero set of h_J, which makes the
 corresponding square DFT submatrix unitary up to scaling; one routine finds
-such an I and checks its Gram matrix.
+such an I, and one integer test checks every witness: it counts the pairs of
+rows whose difference has each gcd d with N, and needs Phi_{N/d} | J(x) at
+every d that occurs, with no matrix and no float.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
@@ -26,7 +28,8 @@ half of each distinct row before the halves are paired, in blocks.
 
 At N = p^M, ``is_spectral`` needs neither the zero set nor a search: J is
 spectral iff |J| = p^k, where k counts the p^j | N with Phi_{p^j} | J(x)
-(Coven and Meyerowitz's T1; Laba), and the witness is explicit.  At any
+(Coven and Meyerowitz's T1; Laba), so a size that is no power of p decides
+it at once, and the witness is explicit.  At any
 other N it runs a backtracking clique search over the zero set, which
 refuses, with GuardExceededError, to visit more than CLIQUE_GUARD nodes.  The
 report always searches, and checks each class's verdict against T1 and T2
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -56,6 +60,7 @@ from .zn_core import (
     factorize,
     proper_divisors,
     tiles,
+    valuation,
 )
 
 REPORT_GUARD_N = 32
@@ -107,11 +112,16 @@ class SpectralResult:
 
 def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | None:
     """A size-element subset of Z_N containing 0 whose pairwise differences all
-    lie in ``zeros``, or None.  Plain backtracking; a search that visits more
-    than CLIQUE_GUARD nodes raises GuardExceededError."""
+    lie in ``zeros``, or None.  Plain backtracking, depth first on an explicit
+    stack, so a clique of any size needs no recursion; a search that visits
+    more than CLIQUE_GUARD nodes raises GuardExceededError."""
     nodes = 0
+    clique: list[int] = []
+    # the candidates of each open node, and the index of the next to try
+    stack: list[list] = []
 
-    def extend(clique: list[int], cands: list[int]) -> tuple[int, ...] | None:
+    def visit(v: int, cands: list[int]) -> bool:
+        """Enter the node clique + [v]; True when it is a whole clique."""
         nonlocal nodes
         nodes += 1
         if nodes > CLIQUE_GUARD:
@@ -119,43 +129,73 @@ def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | 
                 f"N={N}: the spectral search for {size} rows exceeds the clique guard "
                 f"{CLIQUE_GUARD} nodes"
             )
+        clique.append(v)
         if len(clique) == size:
-            return tuple(clique)
+            return True
         if len(clique) + len(cands) < size:
-            return None
-        for i, v in enumerate(cands):
-            rest = [u for u in cands[i + 1 :] if (u - v) % N in zeros]
-            clique.append(v)
-            found = extend(clique, rest)
-            if found:
-                return found
             clique.pop()
-        return None
+        else:
+            stack.append([cands, 0])
+        return False
 
-    return extend([0], sorted(z for z in zeros if z != 0))
+    if visit(0, sorted(z for z in zeros if z != 0)):
+        return tuple(clique)
+    while stack:
+        top = stack[-1]
+        cands, i = top
+        if i == len(cands):
+            stack.pop()
+            clique.pop()
+            continue
+        top[1] = i + 1
+        v = cands[i]
+        if visit(v, [u for u in cands[i + 1 :] if (u - v) % N in zeros]):
+            return tuple(clique)
+    return None
 
 
-def _gram_is_scaled_identity(G: np.ndarray, size: int) -> bool:
-    """``np.allclose(G, size * I, atol=1e-9)``, its default rtol included,
-    written out elementwise, in about a third of that call's time."""
-    S = size * np.eye(size)
-    return bool((np.abs(G - S) <= 1e-9 + 1e-5 * np.abs(S)).all())
+def _is_witness(J: IndexSet, rows) -> bool:
+    """Whether the DFT submatrix on rows x columns J is unitary up to scaling,
+    in integer arithmetic.
+
+    That holds iff |rows| = |J| and h_J vanishes at the difference of every
+    two rows, so iff Phi_{N/d} divides J(x) for each d | N that is the gcd of
+    some such difference with N (at d = N, a repeated row, never for J
+    nonempty).  The ordered pairs of rows that agree mod d number
+    P(d) = sum_r c_r (c_r - 1), c_r the rows in residue class r mod d, and
+    those whose difference has gcd exactly d number
+    E(d) = sum_{d | e | N} mu(e/d) P(e): a difference operator in each prime
+    of N on the divisor lattice.  O(|rows| d(N) + sigma(N) omega(N)) steps."""
+    N = J.modulus
+    if len(rows) != len(J):
+        return False
+    divisors = proper_divisors(N) + (N,)
+    # P(d) per divisor, which the Mobius step turns into E(d) in place
+    pairs = {}
+    for d in divisors:
+        counts = [0] * d
+        for r in rows:
+            counts[r % d] += 1
+        pairs[d] = sum(map(mul, counts, counts)) - len(rows)
+    for p, _ in factorize(N):
+        for d in divisors:
+            if N // d % p == 0:
+                pairs[d] -= pairs[d * p]
+    return all(_phi_divides(J.members, N // d) for d in divisors if pairs[d])
 
 
 def _verified_witness(J: IndexSet, rows) -> IndexSet:
-    """``rows`` as an IndexSet, after the Gram check of the DFT submatrix on
-    rows x columns J; a row set that fails it raises AssertionError."""
-    N, size = J.modulus, len(J)
-    M = np.exp(-2j * np.pi * np.outer(rows, J.members) / N)
-    if not _gram_is_scaled_identity(M.conj().T @ M, size):
-        raise AssertionError(f"witness {tuple(rows)} failed the Gram check for J={J.members}")
-    return IndexSet(N, tuple(rows))
+    """``rows`` as an IndexSet, after ``_is_witness``; a row set that fails
+    it raises AssertionError."""
+    if not _is_witness(J, rows):
+        raise AssertionError(f"witness {tuple(rows)} failed the witness test for J={J.members}")
+    return IndexSet(J.modulus, tuple(rows))
 
 
 def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
     """A row set making the DFT submatrix on columns J unitary up to scaling,
     found among the differences in ``zeros``, the zero set of h_J; None when
-    there is none.  A witness that fails the Gram check raises AssertionError."""
+    there is none.  A witness that fails ``_is_witness`` raises AssertionError."""
     rows = _difference_clique(J.modulus, set(zeros), len(J))
     return None if rows is None else _verified_witness(J, rows)
 
@@ -186,12 +226,14 @@ def is_spectral(J: IndexSet) -> SpectralResult:
 
     At N = p^M, J is spectral iff (T1) holds, that is, iff |J| = p^k where k
     is the number of s = p^j, 1 <= j <= M, with Phi_s | J(x) (Laba, J. London
-    Math. Soc. 65, 2002); each divisibility is one difference-operator test.
-    The witness is then {sum_s c_s N/s : 0 <= c_s < p}, with no zero set and
-    no search.  At any other N the exact zero set of h_J is built and searched
-    for a row set, a search that stops at CLIQUE_GUARD nodes.  Either witness
-    passes the Gram check or raises AssertionError; the residue guard refuses
-    a too-large N before it is factorized.
+    Math. Soc. 65, 2002).  So a size that is no power of p is refused before
+    any divisibility is tested; otherwise each is one difference-operator
+    test, and the witness is {sum_s c_s N/s : 0 <= c_s < p}, with no zero set
+    and no search.  At any other N the exact zero set of h_J is built and
+    searched for a row set, a search that stops at CLIQUE_GUARD nodes.  Either
+    witness passes the integer witness test ``_is_witness`` or raises
+    AssertionError; the residue guard refuses a too-large N before it is
+    factorized.
     """
     N = J.modulus
     if len(J) == 0:
@@ -202,8 +244,10 @@ def is_spectral(J: IndexSet) -> SpectralResult:
         witness = _spectral_witness(J, _exact_zero_members(J))
         return SpectralResult(witness is not None, witness)
     p, M = primes[0]
+    if p ** valuation(len(J), p) != len(J):
+        return SpectralResult(False, None)
     S = [p**k for k in range(1, M + 1) if _phi_divides(J.members, p**k)]
-    if not _t1_t2(len(J), S)[0]:
+    if len(J) != p ** len(S):
         return SpectralResult(False, None)
     digits = [range(0, p * (N // s), N // s) for s in S]
     rows = sorted(map(sum, itertools.product(*digits)))

@@ -61,8 +61,12 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def proper_divisors(n: int) -> tuple[int, ...]:
-    """Divisors of n below n itself (includes 1 for n > 1), ascending."""
-    return tuple(d for d in range(1, n) if n % d == 0)
+    """Divisors of n below n itself (includes 1 for n > 1), ascending, built
+    from the prime factorization of n."""
+    divisors = [1]
+    for p, e in factorize(n):
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return tuple(sorted(divisors)[:-1])
 
 
 @dataclass(frozen=True)
@@ -367,6 +371,8 @@ def tiles(J: IndexSet, K: IndexSet) -> bool:
     if J.modulus != K.modulus:
         raise ModulusMismatchError(f"moduli differ: {J.modulus} != {K.modulus}")
     N = J.modulus
+    if len(J) * len(K) != N:
+        return False
     counts = [0] * N
     for j in J.members:
         for k in K.members:

@@ -91,13 +91,20 @@ def test_spectral_examples():
     assert full.spectral and full.witness.members == tuple(range(8))
 
 
+def gram_is_scaled_identity(J: IndexSet, rows) -> bool:
+    """The Gram check of the DFT submatrix on rows x columns J, the reference
+    for ``fuglede._is_witness``.  The phases are reduced mod N before the
+    float division, so they stay below 2 pi and lose no precision at large N."""
+    N, size = J.modulus, len(J)
+    M = np.exp(-2j * np.pi * (np.outer(rows, J.members) % N) / N)
+    return bool(np.allclose(M.conj().T @ M, size * np.eye(size), atol=1e-9))
+
+
 def test_spectral_witness_gram():
-    result = is_spectral(IndexSet.of(8, [0, 1, 4, 5]))
+    J = IndexSet.of(8, [0, 1, 4, 5])
+    result = is_spectral(J)
     assert result.spectral
-    rows = np.array(result.witness.members)
-    cols = np.array([0, 1, 4, 5])
-    M = np.exp(-2j * np.pi * np.outer(rows, cols) / 8)
-    assert np.allclose(M.conj().T @ M, 4 * np.eye(4), atol=1e-9)
+    assert gram_is_scaled_identity(J, result.witness.members)
 
 
 def test_spectral_bracelet_invariance():
@@ -243,27 +250,54 @@ def test_report_sets_checked_with_size_cap():
     assert {v.size for v in report.classes} == {1, 2, 3, 4}
 
 
-def test_gram_check_is_the_allclose_predicate():
-    rng = np.random.default_rng(19)
-    for size in (1, 2, 4, 8):
-        exact = size * np.eye(size)
-        off = exact.copy()
-        off[0, -1] += 2e-9
-        diagonal = exact.copy()
-        diagonal[-1, -1] += 0.5e-5 * size
-        crafted = [exact, diagonal, exact + rng.normal(0, 1e-9, (size, size))]
-        crafted += [exact * (1 + rng.normal(0, 1e-5, (size, size)))]
-        for G in crafted + ([off] if size > 1 else []):
-            expected = np.allclose(G, exact, atol=1e-9)
-            assert fuglede._gram_is_scaled_identity(G, size) == expected, (size, G)
-        assert fuglede._gram_is_scaled_identity(diagonal, size)
-        assert size == 1 or not fuglede._gram_is_scaled_identity(off, size)
+def test_witness_test_matches_the_gram_reference_on_random_rows():
+    # random rows, with a repeat or one row too many now and then, and the
+    # search's rows where it finds any, so that both verdicts occur
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(1500):
+        N = rng.randint(1, 32)
+        J = IndexSet.of(N, rng.sample(range(N), rng.randint(1, min(N, 8))))
+        rows = rng.sample(range(N), len(J))
+        if rng.random() < 0.4:
+            zeros = set(fuglede._exact_zero_members(J))
+            rows = list(fuglede._difference_clique(N, zeros, len(J)) or rows)
+        if len(rows) > 1 and rng.random() < 0.1:
+            rows[-1] = rows[0]
+        if len(rows) < N and rng.random() < 0.1:
+            rows.append(rng.choice([r for r in range(N) if r not in rows]))
+        verdict = fuglede._is_witness(J, rows)
+        assert verdict == gram_is_scaled_identity(J, rows), (N, J.members, rows)
+        verdicts.append(verdict)
+    assert 300 < verdicts.count(True) < 1200
 
 
-def test_report_witnesses_pass_the_gram_check(monkeypatch):
+@pytest.mark.parametrize("N", [4, 8, 9, 16, 25, 27])
+def test_witness_test_matches_the_gram_reference_on_t1_witnesses(N):
+    # the report has one class for each set S of prime powers whose cyclotomic
+    # polynomials divide J(x), so its spectral classes give every T1 witness;
+    # moving the last of two or more rows up by one must spoil each of them
+    witnesses = 0
+    for v in fuglede_report(ModulusContext.of(N)).classes:
+        J = v.representative
+        result = is_spectral(J)
+        if not result.spectral:
+            continue
+        rows = list(result.witness.members)
+        assert fuglede._is_witness(J, rows) and gram_is_scaled_identity(J, rows), J.members
+        witnesses += 1
+        if len(rows) > 1:
+            rows[-1] = (rows[-1] + 1) % N
+            assert not fuglede._is_witness(J, rows), (J.members, rows)
+            assert not gram_is_scaled_identity(J, rows), (J.members, rows)
+    ((_, M),) = factorize(N)
+    assert witnesses == 2**M
+
+
+def test_report_witnesses_pass_the_witness_test(monkeypatch):
     # a row set whose DFT submatrix is not unitary must not become a witness
     monkeypatch.setattr(fuglede, "_difference_clique", lambda N, zeros, size: tuple(range(size)))
-    with pytest.raises(AssertionError, match="Gram check"):
+    with pytest.raises(AssertionError, match="failed the witness test"):
         fuglede_report(ModulusContext.of(8))
 
 
@@ -406,6 +440,18 @@ def test_spectral_answers_where_the_search_is_refused():
         h = idempotent_from_spectrum(J)
         for mode in ("exact", "float"):
             assert zero_set(h, mode=mode).zero_divisors.divisors == divisors, (N, mode)
+
+
+def test_spectral_answers_where_the_gram_check_or_the_recursion_failed(capsys):
+    # the float Gram check, without the phases reduced mod N, rejected Z_4096
+    # as its own witness; the search that finds {0, ..., 999} for 2 Z_2000
+    # recursed once per row
+    full = IndexSet.of(4096, range(4096))
+    assert is_spectral(full) == fuglede.SpectralResult(True, full)
+    assert cli.main(["fuglede", "spectral", "--N", "4096", "--J", ",".join(map(str, range(4096)))]) == 0
+    assert json.loads(capsys.readouterr().out) == {"spectral": True, "witness": list(range(4096))}
+    evens = IndexSet.of(2000, range(0, 2000, 2))
+    assert is_spectral(evens) == fuglede.SpectralResult(True, IndexSet.of(2000, range(1000)))
 
 
 @pytest.mark.parametrize("N, t1_t2", [(8, (False, False)), (12, (True, True))])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -21,6 +22,7 @@ from idemzeros.zn_core import (
     proper_divisors,
     reverse,
     same_modulus,
+    tiles,
     translate,
     valuation,
 )
@@ -285,3 +287,20 @@ def test_same_modulus():
     assert same_modulus(IndexSet.of(6, [1]), IndexSet.of(6, [2])) == 6
     with pytest.raises(ModulusMismatchError):
         same_modulus(IndexSet.of(6, [1]), IndexSet.of(7, [1]))
+
+
+def test_proper_divisors_match_the_trial_division():
+    for N in range(1, 2001):
+        assert proper_divisors(N) == tuple(d for d in range(1, N) if N % d == 0), N
+
+
+def test_tiles_refuses_a_size_mismatch_before_counting():
+    # |J| |K| != N decides it; a list of N counts would take 800 MB here
+    J = IndexSet(10**8, (0,))
+    tracemalloc.start()
+    try:
+        assert not tiles(J, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
