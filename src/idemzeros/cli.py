@@ -10,10 +10,11 @@ Each action has one handler, and each option that several actions share is
 declared once, in a parent parser they list.
 
 The exact-integer subcommands (``zeroset``, ``bracelet``, ``ramanujan eval``
-and ``fuglede tiles``) run without numpy.  ``oracle``, ``sampling`` and the
-other ``fuglede`` actions import their module inside the handler, after the
-arguments are validated, so that is when numpy loads.  ``fuglede report``
-checks its guard before it factorizes N.  The residue guard lives in
+and ``fuglede tiles``, ``partners`` and ``spectral``) run without numpy.
+``oracle``, ``sampling`` and the ``fuglede`` actions other than ``tiles``
+import their module inside the handler, after the arguments are validated;
+numpy loads there for ``oracle``, ``sampling`` and ``fuglede report``.
+``fuglede report`` checks its guard before it factorizes N.  The residue guard lives in
 ``cyclotomic``, where power residues are built, and refuses ``ramanujan eval``,
 ``fuglede spectral`` and ``partners`` at a too-large N before any work.
 """

@@ -13,8 +13,8 @@ coefficients.  One guard, with no override, refuses an N for which they
 exceed RESIDUE_GUARD before any is built, and so covers ``root_sum``,
 ``power_residue_matrix`` and each module that sums roots of unity:
 ``fuglede``, ``oracle`` and ``ramanujan``.  ``fourier.zero_set`` builds no
-residues in exact mode, but checks the same guard first, so it refuses the
-same N.
+residues in exact mode, nor does ``fuglede``'s partner search, but both
+check the same guard first, so they refuse the same N.
 """
 
 from __future__ import annotations

@@ -18,12 +18,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclotomic import check_residue_guard
 from .errors import GuardExceededError, ModulusMismatchError
 from .zn_core import DivisorSpec, IndexSet, factorize, proper_divisors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # float comparisons count a DFT value or h(n) this close to its target as equal
 TOL = 1e-9
@@ -48,6 +50,8 @@ class Signal:
         return cls(len(vals), vals)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.values, dtype=complex)
 
 
@@ -79,10 +83,14 @@ class ZeroSetReport:
 
 
 def dft(x: Signal) -> Signal:
+    import numpy as np
+
     return Signal(x.modulus, tuple(np.fft.fft(x.to_numpy())))
 
 
 def idft(x: Signal) -> Signal:
+    import numpy as np
+
     return Signal(x.modulus, tuple(np.fft.ifft(x.to_numpy())))
 
 
@@ -92,6 +100,8 @@ def idempotent_from_spectrum(J: IndexSet) -> Idempotent:
 
 def is_idempotent(x: Signal) -> bool:
     """True iff every DFT value of x is within TOL of 0 or 1."""
+    import numpy as np
+
     spec = dft(x).to_numpy()
     return bool(np.all(np.minimum(np.abs(spec), np.abs(spec - 1)) < TOL))
 
@@ -107,6 +117,8 @@ def circular_convolution(x: Signal, y: Signal) -> Signal:
         raise GuardExceededError(
             f"N={N}: {N * N} terms exceed the convolution guard {CONVOLUTION_GUARD}"
         )
+    import numpy as np
+
     a, b = x.to_numpy(), y.to_numpy()
     out = np.array([np.sum(a * b[(n - np.arange(N)) % N]) for n in range(N)])
     return Signal(N, tuple(out))
@@ -160,6 +172,8 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
         vanishing = {d for d in proper_divisors(N) + (N,) if _phi_divides(J, N // d)}
         zeros = [n for n, g in enumerate(_gcd_table(N)) if g in vanishing]
     elif mode == "float":
+        import numpy as np
+
         indicator = np.zeros(N)
         indicator[list(J)] = 1.0
         zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < TOL).tolist()

@@ -2,16 +2,24 @@
 spectral-vs-tiling agreement report.
 
 A set J tiles Z_N with K iff the integer convolution of the indicators is the
-all-ones signal; equivalently |J||K| = N and the zero sets of the two
-idempotents jointly cover all nonzero indices, so partners come from the
-oracle's size-exact solution query at size N/|J|.  The convolution check
-itself, ``tiles``, is pure set combinatorics; it lives in ``zn_core`` and is
-re-exported here.  J is spectral iff some equally-sized row set I has all
-pairwise differences inside the zero set of h_J, which makes the
-corresponding square DFT submatrix unitary up to scaling; one routine finds
-such an I, and one integer test checks every witness: it counts the pairs of
-rows whose difference has each gcd d with N, and needs Phi_{N/d} | J(x) at
-every d that occurs, with no matrix and no float.
+all-ones signal, that is, iff the translates J + k, k in K, cover Z_N exactly
+once; equivalently |J||K| = N and the zero sets of the two idempotents jointly
+cover all nonzero indices, which is how the report decides it.  Partners come
+from an exact-cover search over the translates of J, in Python ints, with no
+zero set: it decides k = 0, 1, ... in turn, include first, so partners come
+lazily in lexicographic order, and a point that only one open translate can
+still cover forces it.  Each partner is charged its N bits against the digit
+tables' ENUMERATION_GUARD; at N = p^M, where the partners are counted in
+closed form, the whole listing is priced before the search.  The convolution
+check itself, ``tiles``, is pure set combinatorics; it lives in ``zn_core``
+and is re-exported here.
+
+J is spectral iff some equally-sized row set I has all pairwise differences
+inside the zero set of h_J, which makes the corresponding square DFT
+submatrix unitary up to scaling; one routine finds such an I, and one
+integer test checks every witness: it counts the pairs of rows whose
+difference has each gcd d with N, and needs Phi_{N/d} | J(x) at every d that
+occurs, with no matrix and no float.
 
 The exhaustive report classifies index sets by (size, zero-set divisors); both
 predicates are constant on such classes, so each class is decided once, on its
@@ -42,26 +50,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterator
-
-import numpy as np
+from functools import reduce
+from operator import mul, or_
+from typing import TYPE_CHECKING, Iterator
 
 from .cyclotomic import check_residue_guard
+from .digit_tables import ENUMERATION_GUARD
 from .errors import GuardExceededError
 from .fourier import _phi_divides, idempotent_from_spectrum, zero_set
-from .oracle import _limb_sum, _sized_solution_masks
 from .zn_core import (
     DivisorSpec,
     IndexSet,
     ModulusContext,
-    _index_sets,
     expand_zero_spec,
     factorize,
     proper_divisors,
     tiles,
     valuation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REPORT_GUARD_N = 32
 # nodes the spectral clique search may visit; no report class needs 1,000
@@ -84,24 +93,150 @@ def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:
     return zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
 
 
+def _translate_covers(N: int, members: tuple[int, ...]) -> Iterator[int]:
+    """Masks of the sets K whose translates J + k, k in K, cover Z_N exactly
+    once, where J holds ``members``, in lexicographic order of their sorted
+    members.
+
+    The search decides k = 0, 1, ..., N - 1 in turn, include first, so the
+    covers come in lexicographic order.  Bitmasks hold the covered points,
+    the open translates (neither decided nor clashing with a chosen one) and
+    the chosen translates; choosing k closes every k + (J - J).  At each node
+    every uncovered point must still lie in some open translate, and a point
+    in exactly one is covered by it, so that translate is chosen at once.  A
+    translate J + t is a rotation of J's mask, read off the mask written out
+    twice.  A search that visits more than CLIQUE_GUARD nodes raises
+    GuardExceededError.
+    """
+    full = (1 << N) - 1
+    twice = 1 | 1 << N
+    tile = twice * sum(1 << j for j in members)
+    # J - J, as the union of the translates J - a, and the translates that
+    # hold a point x, x - J
+    clash = twice * (reduce(or_, (tile << N - a >> N for a in members)) & full)
+    reach = twice * sum(1 << -j % N for j in members)
+    size = len(members)
+    nodes = 0
+    # covered points, open translates and chosen translates
+    stack = [(0, full, 0)]
+    while stack:
+        covered, free, chosen = stack.pop()
+        nodes += 1
+        if nodes > CLIQUE_GUARD:
+            raise GuardExceededError(
+                f"N={N}: the tiling-partner search exceeds the clique guard {CLIQUE_GUARD} nodes"
+            )
+        stale = True
+        while stale:
+            stale = False
+            # the points in at least one and in at least two open translates,
+            # summed over whichever is shorter: J, or the open translates
+            uncovered = full ^ covered
+            ge1 = ge2 = 0
+            if 2 * free.bit_count() < size:
+                left = free
+                while left:
+                    low = left & -left
+                    left ^= low
+                    row = tile << low.bit_length() - 1 >> N
+                    ge2 |= ge1 & row
+                    ge1 |= row
+            else:
+                free2 = twice * free
+                for j in members:
+                    row = free2 << j
+                    ge2 |= ge1 & row
+                    ge1 |= row
+                ge1 >>= N
+                ge2 >>= N
+            if uncovered & ~ge1:
+                break
+            # a point in one open translate forces it; a forced translate
+            # that closes others means a recount
+            once = uncovered & ~ge2
+            while once:
+                x = (once & -once).bit_length() - 1
+                only = reach << x >> N & free
+                if not only:
+                    break
+                t = only.bit_length() - 1
+                cover = tile << t >> N & full
+                covered |= cover
+                once &= ~cover
+                closed = clash << t >> N & free
+                free ^= closed
+                chosen |= only
+                stale = stale or closed != only
+            if once:
+                break
+        else:
+            if covered == full:
+                yield chosen
+                continue
+            low = free & -free
+            t = low.bit_length() - 1
+            stack.append((covered, free ^ low, chosen))
+            covered |= tile << t >> N & full
+            if covered == full:
+                yield chosen | low
+                continue
+            stack.append((covered, free & ~(clash << t >> N), chosen | low))
+
+
+def _partner_count(J: IndexSet, p: int, M: int) -> int:
+    """The number of partners of J at N = p^M, with no search.
+
+    J tiles iff |J| = p^|S|, S the k <= M with Phi_{p^k} | J(x) (T1), and
+    then K is a partner iff |K| = N/|J| and Phi_{p^k} | K(x) for every other
+    k.  Those K are the single conforming blocks of the digit tables with
+    pivot columns k - 1, k not in S.  Read from the highest digit down, a
+    pivot column joins p independent fibers, raising the count to the p-th
+    power, and any other column puts the block into one of p fibers.
+    """
+    S = {k for k in range(1, M + 1) if _phi_divides(J.members, p**k)}
+    if len(J) != p ** len(S):
+        return 0
+    count = 1
+    for k in range(M, 0, -1):
+        count = p * count if k in S else count**p
+    return count
+
+
 def find_tiling_partners(J: IndexSet, max_results: int | None = None) -> Iterator[IndexSet]:
     """Partners K with 1_J * 1_K = all-ones, lexicographic order.
 
-    Candidates are the sets of N/|J| members whose idempotent vanishes
-    wherever h_J does not, away from 0, from the size-exact solution query;
-    each is re-verified by the integer convolution.  At most ``max_results``
-    partners are yielded; a negative limit raises ValueError.
+    Partners come lazily from an exact cover of Z_N by translates of J
+    (``_translate_covers``), and each is re-checked by ``tiles``; one that
+    fails raises AssertionError.  At most ``max_results`` partners are
+    yielded, and the search stops there; a negative limit raises ValueError.
+    The residue guard refuses a too-large N before any work, since the search
+    holds N-bit masks of up to N translates.  A listing of more partners of N
+    bits than ENUMERATION_GUARD bits allows raises GuardExceededError: before
+    any work at N = p^M, where ``_partner_count`` prices it, and elsewhere
+    after the partners that fit.  So does a search past CLIQUE_GUARD nodes,
+    after the partners found until then.
     """
     if max_results is not None and max_results < 0:
         raise ValueError(f"max_results must be nonnegative, got {max_results}")
     N = J.modulus
     if len(J) == 0 or N % len(J) != 0:
         return
-    size = N // len(J)
-    zeros = set(_exact_zero_members(J))
-    required = tuple(n for n in range(1, N) if n not in zeros)
-    candidates = _index_sets(N, _sized_solution_masks(N, required, (size,)))
-    yield from itertools.islice((K for K in candidates if tiles(J, K)), max_results)
+    check_residue_guard(N)
+    limit = ENUMERATION_GUARD // N
+    refusal = f"N={N}: the tiling-partner listing needs more than {limit} partners of {N} bits"
+    # Z_N has 2^N subsets, so a listing at a small N always fits
+    if (max_results is None or max_results > limit) and 1 << N > limit:
+        primes = factorize(N)
+        if len(primes) == 1 and _partner_count(J, *primes[0]) > limit:
+            raise GuardExceededError(refusal)
+    covers = itertools.islice(_translate_covers(N, J.members), max_results)
+    for count, mask in enumerate(covers, 1):
+        if count > limit:
+            raise GuardExceededError(refusal)
+        K = IndexSet.from_mask(N, mask)
+        if not tiles(J, K):
+            raise AssertionError(f"partner {K.members} fails the convolution check for {J.members}")
+        yield K
 
 
 @dataclass(frozen=True)
@@ -285,6 +420,8 @@ def _least_of_each_row(sizes: np.ndarray, ids: list[np.ndarray]) -> np.ndarray:
 
     One stable ``np.unique`` over a mixed-radix int64 key, which is re-ranked
     to its distinct values before a radix product would pass 2^62."""
+    import numpy as np
+
     key = sizes.astype(np.int64)
     radix = int(key.max()) + 1
     for col in ids:
@@ -322,6 +459,10 @@ def _class_reps(N: int) -> dict[tuple, int]:
     Rows ascend by high and columns by low, so a key's least position in a
     block, in row-major order, holds its least mask.
     """
+    import numpy as np
+
+    from .oracle import _limb_sum
+
     divisors = proper_divisors(N)
     low_bits = min(N, 16)
     lows = np.arange(1, 1 << low_bits, 2)

@@ -367,17 +367,16 @@ def canonical_bracelet_rep(s: IndexSet) -> IndexSet:
 
 
 def tiles(J: IndexSet, K: IndexSet) -> bool:
-    """Exact-cover check: every residue has exactly one representation j + k."""
+    """Exact-cover check: every residue has exactly one representation j + k.
+
+    Once |J||K| = N there are N sums, so by pigeonhole they are distinct mod N
+    iff they take N values."""
     if J.modulus != K.modulus:
         raise ModulusMismatchError(f"moduli differ: {J.modulus} != {K.modulus}")
     N = J.modulus
     if len(J) * len(K) != N:
         return False
-    counts = [0] * N
-    for j in J.members:
-        for k in K.members:
-            counts[(j + k) % N] += 1
-    return all(c == 1 for c in counts)
+    return len({(j + k) % N for j in J.members for k in K.members}) == N
 
 
 def same_modulus(*sets: IndexSet) -> int:

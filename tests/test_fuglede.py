@@ -19,6 +19,7 @@ from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.zn_core import (
     IndexSet,
     ModulusContext,
+    _index_sets,
     bracelet,
     factorize,
     proper_divisors,
@@ -69,6 +70,131 @@ def test_partners_composite_modulus():
                 if tiles(J, IndexSet(N, K))
             ]
             assert list(find_tiling_partners(J)) == expected, (N, J.members)
+
+
+def partners_by_zero_sets(J: IndexSet) -> list[IndexSet]:
+    """The sets of N/|J| members whose idempotent vanishes wherever h_J does
+    not, away from 0, from the oracle's size-exact query, each checked by
+    ``tiles``: an independent route to the partners, through zero sets."""
+    N = J.modulus
+    if len(J) == 0 or N % len(J):
+        return []
+    zeros = set(fuglede._exact_zero_members(J))
+    required = tuple(n for n in range(1, N) if n not in zeros)
+    masks = oracle._sized_solution_masks(N, required, (N // len(J),))
+    return [K for K in _index_sets(N, masks) if tiles(J, K)]
+
+
+def test_partners_match_the_zero_set_route_on_every_report_class():
+    for N in range(1, 25):
+        for v in fuglede_report(ModulusContext.of(N)).classes:
+            J = v.representative
+            assert list(find_tiling_partners(J)) == partners_by_zero_sets(J), (N, J.members)
+
+
+def test_partners_match_the_zero_set_route_on_seeded_sets():
+    # where the zero-set route answers: its listing meets its enumeration
+    # guard first on some of these
+    rng = random.Random(27)
+    answered = []
+    for N in (27, 32, 64, 81, 128):
+        for make in (digit_set, coset_union):
+            for _ in range(4):
+                J = make(rng, N)
+                try:
+                    expected = partners_by_zero_sets(J)
+                except GuardExceededError:
+                    continue
+                assert list(find_tiling_partners(J)) == expected, (N, J.members)
+                answered.append(len(expected))
+    assert (len(answered), sum(map(bool, answered))) == (33, 26)
+
+
+def test_partners_past_the_oracle_guard():
+    # the zero-set route refused the first after counting 100,946,732,307
+    # subsets, and searched 9.7M subsets for the second
+    first = next(find_tiling_partners(IndexSet.of(48, range(4)), 1))
+    assert first == IndexSet.of(48, range(0, 48, 4))
+    first = next(find_tiling_partners(IndexSet.of(24, (0, 12)), 1))
+    assert first == IndexSet.of(24, range(12))
+
+
+def test_partner_search_stops_at_the_clique_guard(monkeypatch, capsys):
+    # the search for the 16 partners of {0, 4} in Z_8 visits 23 nodes
+    J = IndexSet.of(8, (0, 4))
+    every = list(find_tiling_partners(J))
+    assert len(every) == 16
+    monkeypatch.setattr(fuglede, "CLIQUE_GUARD", 10)
+    found = []
+    with pytest.raises(GuardExceededError, match="tiling-partner search exceeds the clique guard 10 nodes$"):
+        found.extend(find_tiling_partners(J))
+    assert 0 < len(found) < 16 and every[: len(found)] == found
+    assert cli.main(["fuglede", "partners", "--N", "8", "--J", "0,4"]) == 1
+    *printed, last = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["members"] for line in printed] == [list(K.members) for K in found]
+    error = json.loads(last)
+    assert set(error) == {"code", "message"} and error["code"] == "guard-exceeded"
+    assert error["message"].endswith("clique guard 10 nodes")
+
+
+def test_partner_count_matches_the_listing():
+    for N in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        (p, M), = factorize(N)
+        for v in fuglede_report(ModulusContext.of(N)).classes:
+            J = v.representative
+            assert fuglede._partner_count(J, p, M) == len(list(find_tiling_partners(J)))
+    rng = random.Random(29)
+    for N, p, M in ((32, 2, 5), (64, 2, 6), (81, 3, 4)):
+        for make in (digit_set, coset_union):
+            for _ in range(4):
+                J = make(rng, N)
+                count = fuglede._partner_count(J, p, M)
+                if count <= 1 << 12:
+                    assert count == len(list(find_tiling_partners(J))), (N, J.members)
+    # {0, N/2} takes one of each pair {x, x + N/2}
+    assert fuglede._partner_count(IndexSet.of(4096, (0, 2048)), 2, 12) == 1 << 2048
+
+
+def test_partner_listing_is_priced_before_the_search(monkeypatch, capsys):
+    # 2^2048 partners of 4096 bits, and 2^32 of 64 bits, against 2^25 bits
+    def no_search(N, members):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(fuglede, "_translate_covers", no_search)
+    with pytest.raises(GuardExceededError, match="needs more than 8192 partners of 4096 bits$"):
+        next(find_tiling_partners(IndexSet.of(4096, (0, 2048))))
+    assert cli.main(["fuglede", "partners", "--N", "64", "--J", "0,16,32,48"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["code"] == "guard-exceeded"
+    assert error["message"] == "N=64: the tiling-partner listing needs more than 524288 partners of 64 bits"
+    monkeypatch.undo()
+    first = next(find_tiling_partners(IndexSet.of(4096, (0, 2048)), 1))
+    assert first == IndexSet.of(4096, range(2048))
+    # at the edge: {0, 4} has 16 partners in Z_8
+    J = IndexSet.of(8, (0, 4))
+    monkeypatch.setattr(fuglede, "ENUMERATION_GUARD", 8 * 16)
+    assert len(list(find_tiling_partners(J))) == 16
+    monkeypatch.setattr(fuglede, "ENUMERATION_GUARD", 8 * 16 - 1)
+    assert len(list(find_tiling_partners(J, 15))) == 15
+    monkeypatch.setattr(fuglede, "_translate_covers", no_search)
+    with pytest.raises(GuardExceededError, match="needs more than 15 partners of 8 bits$"):
+        next(find_tiling_partners(J, 16))
+
+
+def test_partner_listing_is_charged_per_partner_at_composite_moduli(monkeypatch, capsys):
+    # {0, 12} in Z_24 has 4096 partners; no closed form prices them here
+    J = IndexSet.of(24, (0, 12))
+    every = list(find_tiling_partners(J, 6))
+    monkeypatch.setattr(fuglede, "ENUMERATION_GUARD", 24 * 5)
+    assert list(find_tiling_partners(J, 5)) == every[:5]
+    found = []
+    with pytest.raises(GuardExceededError, match="needs more than 5 partners of 24 bits$"):
+        found.extend(find_tiling_partners(J))
+    assert found == every[:5]
+    assert cli.main(["fuglede", "partners", "--N", "24", "--J", "0,12"]) == 1
+    *printed, last = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["members"] for line in printed] == [list(K.members) for K in found]
+    assert json.loads(last)["code"] == "guard-exceeded"
 
 
 def test_partner_limit():
@@ -318,7 +444,7 @@ def test_report_at_composite_moduli():
 
 
 def test_report_tiling_matches_partner_search():
-    # the class-table partners against the size-exact zero-set route
+    # the class-table partners against the exact cover by translates of J
     for N in (8, 9, 12, 16, 18, 20):
         for v in fuglede_report(ModulusContext.of(N)).classes:
             found = next(find_tiling_partners(v.representative, 1), None) is not None

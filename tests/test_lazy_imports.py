@@ -61,6 +61,19 @@ NUMPY_FREE = [
     ),
     (("fuglede", "tiles", "--N", "4", "--J", "0,1", "--K", "0,2"), 0, [{"tiles": True}]),
     (("fuglede", "tiles", "--N", "6", "--J", "0,1", "--K", "0,2"), 0, [{"tiles": False}]),
+    # T1 at N = p^M, and the search over the exact zero set at N = 12
+    (("fuglede", "spectral", "--N", "16", "--J", "0,1,8,9"), 0, [{"spectral": True, "witness": [0, 1, 8, 9]}]),
+    (("fuglede", "spectral", "--N", "12", "--J", "0,1,2"), 0, [{"spectral": True, "witness": [0, 4, 8]}]),
+    (
+        ("fuglede", "partners", "--N", "16", "--J", "0,1,8,9", "--max-results", "2"),
+        0,
+        _sets(16, [0, 2, 4, 6], [0, 2, 4, 14]),
+    ),
+    (
+        ("fuglede", "partners", "--N", "48", "--J", "0,1,2,3", "--max-results", "1"),
+        0,
+        _sets(48, range(0, 48, 4)),
+    ),
     # error paths, including those of subcommands that compute with numpy
     (("bracelet", "rep", "--N", "0", "--set", "1"), 1, _error("modulus must be positive, got 0")),
     (
@@ -93,8 +106,10 @@ def test_exact_subcommands_run_without_numpy(args, code, stdout):
 
 
 def test_numeric_subcommands_load_numpy():
-    code, out, numpy_loaded = _probe(("fuglede", "spectral", "--N", "4", "--J", "0,1"))
-    assert (code, out, numpy_loaded) == (0, [{"spectral": True, "witness": [0, 2]}], True)
+    # the class scan behind the report sums residues in numpy arrays
+    code, out, numpy_loaded = _probe(("fuglede", "report", "--N", "2"))
+    assert (code, numpy_loaded) == (0, True)
+    assert [(c["size"], c["zero_divisors"]) for c in out[0]["classes"]] == [(1, []), (2, [1])]
 
 
 def test_package_import_leaves_numpy_unloaded():

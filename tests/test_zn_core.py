@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -304,3 +305,36 @@ def test_tiles_refuses_a_size_mismatch_before_counting():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def tiles_by_counts(J: IndexSet, K: IndexSet) -> bool:
+    """The definition: every residue is j + k for exactly one pair."""
+    N = J.modulus
+    counts = [0] * N
+    for j in J.members:
+        for k in K.members:
+            counts[(j + k) % N] += 1
+    return all(c == 1 for c in counts)
+
+
+def test_tiles_matches_the_counts_reference():
+    for N in range(1, 9):
+        subsets = [IndexSet(N, c) for r in range(N + 1) for c in itertools.combinations(range(N), r)]
+        for J in subsets:
+            for K in subsets:
+                assert tiles(J, K) == tiles_by_counts(J, K), (N, J.members, K.members)
+    rng = random.Random(2716)
+    for N in (16, 18, 24, 27, 32, 36, 48, 64):
+        for _ in range(300):
+            d = rng.choice([d for d in range(1, N + 1) if N % d == 0])
+            if rng.random() < 0.5:
+                # a coset of the multiples of d and one member of each class
+                # mod d, which tile
+                a = rng.randrange(N)
+                J = IndexSet.of(N, range(a, a + N, d))
+                K = IndexSet.of(N, [r + d * rng.randrange(N // d) for r in range(d)])
+            else:
+                J = IndexSet.of(N, rng.sample(range(N), N // d))
+                K = IndexSet.of(N, rng.sample(range(N), d))
+            assert tiles(J, K) == tiles_by_counts(J, K), (N, J.members, K.members)
+            assert tiles(K, J) == tiles(J, K)
