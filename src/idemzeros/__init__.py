@@ -6,9 +6,11 @@ arithmetic (cyclotomic), idempotents and zero sets (fourier), Ramanujan sums
 moduli (digit_tables), an exhaustive oracle (oracle), multicoset sampling
 design (sampling), and tiling/spectral checks (fuglede).
 
-The pure-Python modules load with the package.  The numpy-backed modules
-(fourier, fuglede, oracle, sampling) load on first use of one of their names,
-so ``import idemzeros`` does not import numpy.
+zn_core, cyclotomic, ramanujan and digit_tables load with the package;
+fourier, fuglede, oracle and sampling load on first use of one of their
+names.  oracle and sampling import numpy when they load, fourier and fuglede
+only inside the functions that compute with it, so ``import idemzeros`` does
+not import numpy.
 """
 
 import importlib as _importlib
@@ -50,7 +52,7 @@ from .zn_core import (
     translate,
 )
 
-# the names each numpy-backed module exports, resolved by __getattr__
+# the names each lazily loaded module exports, resolved by __getattr__
 _LAZY = {
     "fourier": (
         "Idempotent",

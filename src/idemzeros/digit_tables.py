@@ -13,7 +13,9 @@ time: a set splits into p fibers by its lowest digit, and each fiber's
 quotient recurses with the pivot columns shifted down by one.  At a pivot
 column the fibers must hold equally many blocks, and the i-th blocks of the p
 fibers join into one block; at any other column the fibers are independent.
-Certificates list their blocks by least member.
+The test takes the columns below a pivot in one step, as residue classes, so
+it recurses once per pivot, not once per digit.  Certificates list their
+blocks by least member.
 """
 
 from __future__ import annotations
@@ -257,24 +259,38 @@ def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]]
 
     Taking out any one block leaves the fiber counts equal, so the blocks of
     each fiber can be joined in any order and the split never backtracks.
+    The columns below the first pivot split the members into independent
+    residue classes mod p^cols[0] at once, so the recursion goes one level
+    per pivot only, and each level divides the members by p: its depth is
+    at most log_p |members| + 1, whatever the number of digits.
     """
     if not members:
         return []
     if not cols:
         return [[x] for x in members]
-    fibers: list[list[int]] = [[] for _ in range(p)]
+    unit = p ** cols[0]
+    classes: dict[int, list[int]] = {}
     for x in members:
-        fibers[x % p].append(x // p)
-    pivot = cols[0] == 0
-    if pivot and len({len(f) for f in fibers}) > 1:
-        return None
-    rest = tuple(c - 1 for c in (cols[1:] if pivot else cols))
-    subs = [_split(f, p, rest) for f in fibers]
-    if any(sub is None for sub in subs):
-        return None
-    if pivot:
-        return [sorted(p * e + j for j, b in enumerate(row) for e in b) for row in zip(*subs)]
-    blocks = [[p * e + j for e in b] for j, sub in enumerate(subs) for b in sub]
+        classes.setdefault(x % unit, []).append(x // unit)
+    rest = tuple(c - cols[0] - 1 for c in cols[1:])
+    blocks = []
+    for r, quotients in classes.items():
+        # the pivot column: the p fibers hold equally many members, and the
+        # i-th blocks of the fibers join into one
+        fibers: list[list[int]] = [[] for _ in range(p)]
+        for x in quotients:
+            fibers[x % p].append(x // p)
+        if len({len(f) for f in fibers}) > 1:
+            return None
+        subs = [_split(f, p, rest) for f in fibers]
+        if any(sub is None for sub in subs):
+            return None
+        blocks += [
+            sorted(r + unit * (p * e + j) for j, b in enumerate(row) for e in b)
+            for row in zip(*subs)
+        ]
+    if cols[0] == 0:
+        return blocks
     return sorted(blocks, key=lambda b: b[0])
 
 

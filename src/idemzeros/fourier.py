@@ -3,26 +3,24 @@
 Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
 h(0) = |J|/N.  ``dft`` and ``idft`` are numpy's FFT and inverse FFT, which
-follow it, so no N x N matrix is built.  Zero sets are exact by default:
-h_J vanishes on the gcd class of a divisor d iff the N/d-th cyclotomic
-polynomial divides the sum of x^(j mod N/d) over J, which a few difference
-operators on the count vector of J mod N/d decide in Python ints.  Float
-mode, one inverse FFT of the spectrum's indicator, is the independent route
-that cross-checks it.  ``circular_convolution`` stays the direct sum of N^2
+follow it, so no N x N matrix is built, and h's values are one ``idft``.
+Zero sets are exact by default: h_J vanishes on the gcd class of a divisor
+d iff the N/d-th cyclotomic polynomial divides the sum of x^(j mod N/d) over
+J, which ``_zero_divisors`` decides by difference operators in Python ints.
+Float mode, which reads h's values, is the independent route that
+cross-checks it.  ``circular_convolution`` stays the direct sum of N^2
 terms, the definition, and refuses an N past its guard.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .cyclotomic import check_residue_guard
 from .errors import GuardExceededError, ModulusMismatchError
-from .zn_core import DivisorSpec, IndexSet, factorize, proper_divisors
+from .zn_core import DivisorSpec, IndexSet, _gcd_classes, factorize, proper_divisors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +70,9 @@ class Idempotent:
         ) / N
 
     def time_domain(self) -> Signal:
-        return Signal.of([self.evaluate(n) for n in range(self.modulus)])
+        """h at every n: one inverse FFT of the indicator of J."""
+        J = set(self.spectrum)
+        return idft(Signal.of(n in J for n in range(self.modulus)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def dft(x: Signal) -> Signal:
 def idft(x: Signal) -> Signal:
     import numpy as np
 
-    return Signal(x.modulus, tuple(np.fft.ifft(x.to_numpy())))
+    return Signal(x.modulus, tuple(np.fft.ifft(x.to_numpy()).tolist()))
 
 
 def idempotent_from_spectrum(J: IndexSet) -> Idempotent:
@@ -124,12 +124,6 @@ def circular_convolution(x: Signal, y: Signal) -> Signal:
     return Signal(N, tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _gcd_table(N: int) -> tuple[int, ...]:
-    """gcd(n, N) for n in [0, N), so gcd(0, N) = N: the gcd class of every index."""
-    return tuple(math.gcd(n, N) for n in range(N))
-
-
 def _phi_divides(members, m: int) -> bool:
     """Whether Phi_m divides sum_{j in members} x^(j mod m).
 
@@ -147,6 +141,13 @@ def _phi_divides(members, m: int) -> bool:
     return not any(counts)
 
 
+def _zero_divisors(members, N: int) -> tuple[int, ...]:
+    """The d | N, ascending, whose gcd class h_J vanishes on, J the ``members``:
+    Phi_{N/d} divides the sum of x^(j mod N/d) over J, at d = N iff J = {}."""
+    vanishing = tuple(d for d in proper_divisors(N) if _phi_divides(members, N // d))
+    return vanishing if members else vanishing + (N,)
+
+
 def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     """Zero set of h, its divisor part, and the gcd-class structure check.
 
@@ -154,29 +155,19 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     the zero idempotent (empty spectrum) additionally vanishes at 0, which has
     no class below N, so 0 is accounted for separately in the structure check.
     Exact mode builds its zero set from whole classes, so there the check
-    holds by construction; it is a real check of float mode.  Both the zero
-    set and the check read one cached table of gcd(n, N) per N.
+    holds by construction; it is a real check of float mode.
 
-    Exact mode tests one gcd class at a time: h vanishes on the class of a
-    divisor d of N iff Phi_m, m = N/d, divides sum_{j in J} x^(j mod m),
-    which ``_phi_divides`` decides by difference operators in Python ints, in
-    O(|J| + m * omega(m)) per divisor.  At d = N, m = 1, this says that 0 is
-    a zero iff J is empty.  The residue guard still refuses a too-large N
-    before any divisor is tested.  Float mode takes h at all n from one
-    inverse FFT of the indicator of J and reads a zero wherever |h(n)| < TOL.
+    Exact mode takes the divisors from ``_zero_divisors``, O(|J| + m omega(m))
+    per divisor at m = N/d, after the residue guard.  Float mode reads a zero
+    wherever |h(n)| < TOL on ``Idempotent.time_domain``.
     """
     N = h.modulus
     J = h.spectrum.members
     if mode == "exact":
         check_residue_guard(N)
-        vanishing = {d for d in proper_divisors(N) + (N,) if _phi_divides(J, N // d)}
-        zeros = [n for n, g in enumerate(_gcd_table(N)) if g in vanishing]
+        zeros = _gcd_classes(N, _zero_divisors(J, N))
     elif mode == "float":
-        import numpy as np
-
-        indicator = np.zeros(N)
-        indicator[list(J)] = 1.0
-        zeros = np.flatnonzero(np.abs(np.fft.ifft(indicator)) < TOL).tolist()
+        zeros = tuple(n for n, v in enumerate(h.time_domain().values) if abs(v) < TOL)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     members = set(zeros)
@@ -184,5 +175,5 @@ def zero_set(h: Idempotent, mode: str = "exact") -> ZeroSetReport:
     classes = set(divs)
     if not J:
         classes.add(N)
-    structure_ok = zeros == [n for n, g in enumerate(_gcd_table(N)) if g in classes]
-    return ZeroSetReport(IndexSet(N, tuple(zeros)), DivisorSpec(N, tuple(divs)), structure_ok)
+    structure_ok = zeros == _gcd_classes(N, classes)
+    return ZeroSetReport(IndexSet(N, zeros), DivisorSpec(N, tuple(divs)), structure_ok)

@@ -57,12 +57,11 @@ from typing import TYPE_CHECKING, Iterator
 from .cyclotomic import check_residue_guard
 from .digit_tables import ENUMERATION_GUARD
 from .errors import GuardExceededError
-from .fourier import _phi_divides, idempotent_from_spectrum, zero_set
+from .fourier import _phi_divides, _zero_divisors
 from .zn_core import (
-    DivisorSpec,
     IndexSet,
     ModulusContext,
-    expand_zero_spec,
+    _gcd_classes,
     factorize,
     proper_divisors,
     tiles,
@@ -87,10 +86,6 @@ def check_report_guard(N: int) -> None:
     so callers can make it before they factorize N."""
     if N > REPORT_GUARD_N:
         raise GuardExceededError(f"N={N} exceeds the report guard {REPORT_GUARD_N}")
-
-
-def _exact_zero_members(J: IndexSet) -> tuple[int, ...]:
-    return zero_set(idempotent_from_spectrum(J), mode="exact").zero_set.members
 
 
 def _translate_covers(N: int, members: tuple[int, ...]) -> Iterator[int]:
@@ -183,22 +178,30 @@ def _translate_covers(N: int, members: tuple[int, ...]) -> Iterator[int]:
             stack.append((covered, free & ~(clash << t >> N), chosen | low))
 
 
+def _t1_orders(J: IndexSet, p: int) -> list[int] | None:
+    """S, the p^k > 1 dividing N = p^M with Phi_{p^k} | J(x), descending,
+    when T1 holds, |J| = p^|S|; None when it does not."""
+    N = J.modulus
+    S = [N // d for d in _zero_divisors(J.members, N) if d < N]
+    return S if len(J) == p ** len(S) else None
+
+
 def _partner_count(J: IndexSet, p: int, M: int) -> int:
     """The number of partners of J at N = p^M, with no search.
 
-    J tiles iff |J| = p^|S|, S the k <= M with Phi_{p^k} | J(x) (T1), and
+    J tiles iff |J| = p^|S|, S the p^k with Phi_{p^k} | J(x) (T1), and
     then K is a partner iff |K| = N/|J| and Phi_{p^k} | K(x) for every other
     k.  Those K are the single conforming blocks of the digit tables with
-    pivot columns k - 1, k not in S.  Read from the highest digit down, a
+    pivot columns k - 1, p^k not in S.  Read from the highest digit down, a
     pivot column joins p independent fibers, raising the count to the p-th
     power, and any other column puts the block into one of p fibers.
     """
-    S = {k for k in range(1, M + 1) if _phi_divides(J.members, p**k)}
-    if len(J) != p ** len(S):
+    S = _t1_orders(J, p)
+    if S is None:
         return 0
     count = 1
     for k in range(M, 0, -1):
-        count = p * count if k in S else count**p
+        count = p * count if p**k in S else count**p
     return count
 
 
@@ -364,11 +367,11 @@ def is_spectral(J: IndexSet) -> SpectralResult:
     Math. Soc. 65, 2002).  So a size that is no power of p is refused before
     any divisibility is tested; otherwise each is one difference-operator
     test, and the witness is {sum_s c_s N/s : 0 <= c_s < p}, with no zero set
-    and no search.  At any other N the exact zero set of h_J is built and
-    searched for a row set, a search that stops at CLIQUE_GUARD nodes.  Either
-    witness passes the integer witness test ``_is_witness`` or raises
-    AssertionError; the residue guard refuses a too-large N before it is
-    factorized.
+    and no search.  At any other N the zero set of h_J, read off its zero
+    divisors, is searched for a row set, a search that stops at CLIQUE_GUARD
+    nodes.  Either witness passes the integer witness test ``_is_witness`` or
+    raises AssertionError; the residue guard refuses a too-large N before it
+    is factorized.
     """
     N = J.modulus
     if len(J) == 0:
@@ -376,13 +379,13 @@ def is_spectral(J: IndexSet) -> SpectralResult:
     check_residue_guard(N)
     primes = factorize(N)
     if len(primes) != 1:
-        witness = _spectral_witness(J, _exact_zero_members(J))
+        witness = _spectral_witness(J, _gcd_classes(N, _zero_divisors(J.members, N)))
         return SpectralResult(witness is not None, witness)
-    p, M = primes[0]
+    p, _ = primes[0]
     if p ** valuation(len(J), p) != len(J):
         return SpectralResult(False, None)
-    S = [p**k for k in range(1, M + 1) if _phi_divides(J.members, p**k)]
-    if len(J) != p ** len(S):
+    S = _t1_orders(J, p)
+    if S is None:
         return SpectralResult(False, None)
     digits = [range(0, p * (N // s), N // s) for s in S]
     rows = sorted(map(sum, itertools.product(*digits)))
@@ -525,9 +528,8 @@ def _class_reps(N: int) -> dict[tuple, int]:
 def _check_class(ctx: ModulusContext, size: int, flags: tuple, reps: dict) -> ClassVerdict:
     N = ctx.N
     D = tuple(d for d, f in zip(proper_divisors(N), flags) if f)
-    zeros = set(expand_zero_spec(DivisorSpec.of(N, D)).members)
     rep = IndexSet.from_mask(N, reps[size, flags])
-    witness = _spectral_witness(rep, zeros)
+    witness = _spectral_witness(rep, _gcd_classes(N, D))
     # partners: the classes of N/size members that vanish wherever this one does not
     covers = [m for (s, f), m in reps.items() if s * size == N and all(map(max, flags, f))]
     partner = IndexSet.from_mask(N, min(covers)) if covers else None

@@ -5,9 +5,9 @@ with offsets J inside a period of length N.  Aliases cancel exactly when the
 idempotent built from J vanishes on all pairwise fragment differences; the
 simulation discretizes the spectrum to R bins per unit and checks this on a
 circular grid of N*R bins.  It reads only the |F|*R fragment bins, gathered
-once for every shift, so it costs O(N*|F|*R) besides the N*|J| terms of h; a
-simulation of more than SIMULATION_GUARD gathered bins or terms is refused
-before any work.
+once for every shift, so it costs O(N*|F|*R) besides one inverse FFT for h;
+a simulation of more than SIMULATION_GUARD gathered bins is refused before
+any work.
 """
 
 from __future__ import annotations
@@ -122,9 +122,7 @@ def simulate(
     differences.  Only the fragment bins are read: one gather gives an
     N x |F|*R array whose row k holds them shifted by k*R, and the sum and
     the alias energies are taken over its rows.  GuardExceededError, before
-    any random draw, when that array would exceed SIMULATION_GUARD entries,
-    or when h would take more than SIMULATION_GUARD terms: N values of a sum
-    over the |J| offsets.
+    any random draw, when that array would exceed SIMULATION_GUARD entries.
     """
     N, R = pattern.modulus, sim.oversampling
     if not F.fragments:
@@ -138,9 +136,6 @@ def simulate(
         raise GuardExceededError(
             f"{N * width} shifted fragment bins exceed the simulation guard"
         )
-    terms = N * len(pattern.offsets)
-    if terms > SIMULATION_GUARD:
-        raise GuardExceededError(f"{terms} time-domain terms exceed the simulation guard")
     grid = N * R
     bins = _fragment_bins(F, R)
     rng = np.random.default_rng(sim.seed)

@@ -17,7 +17,12 @@ from functools import lru_cache
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidDivisorError, ModulusMismatchError, NonPrimePowerError
+from .errors import (
+    GuardExceededError,
+    InvalidDivisorError,
+    ModulusMismatchError,
+    NonPrimePowerError,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,14 +39,27 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
+# The largest trial divisor factorize may test, with no override: n is
+# factorized whenever its part made of primes above it is below its square.
+FACTOR_GUARD = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n as ((prime, exponent), ...), ascending primes."""
+    """Prime factorization of n as ((prime, exponent), ...), ascending primes.
+
+    Trial division; GuardExceededError when it would test a divisor past
+    FACTOR_GUARD, as for two prime factors above it or one above its square."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
+    N = n
     out = []
     d = 2
     while d * d <= n:
+        if d > FACTOR_GUARD:
+            raise GuardExceededError(
+                f"N={N}: factorizing needs trial divisors past the factor guard {FACTOR_GUARD}"
+            )
         if n % d == 0:
             e = valuation(n, d)
             n //= d**e
@@ -309,20 +327,29 @@ class DivisorSpec:
         return cls(modulus, tuple(sorted(set(divisors))))
 
 
+@lru_cache(maxsize=64)
+def _gcd_table(N: int) -> tuple[int, ...]:
+    """gcd(n, N) for n in [0, N), so gcd(0, N) = N: the gcd class of every index."""
+    return tuple(math.gcd(n, N) for n in range(N))
+
+
+def _gcd_classes(N: int, divisors: Iterable[int]) -> tuple[int, ...]:
+    """The union of the gcd classes of ``divisors``, ascending."""
+    divisors = set(divisors)
+    table = _gcd_table(N) if divisors else ()
+    return tuple(n for n, g in enumerate(table) if g in divisors)
+
+
 def gcd_class(ctx: ModulusContext, k: int) -> IndexSet:
     """Residues i in Z_N with gcd(i, N) = k.  k = N is allowed and yields {0}."""
     if k < 1 or ctx.N % k != 0:
         raise InvalidDivisorError(f"{k} does not divide N={ctx.N}")
-    return IndexSet(ctx.N, tuple(i for i in range(ctx.N) if math.gcd(i, ctx.N) == k))
+    return IndexSet._unchecked(ctx.N, _gcd_classes(ctx.N, (k,)))
 
 
 def expand_zero_spec(spec: DivisorSpec) -> IndexSet:
     """Disjoint union of the gcd classes of all divisors in the spec."""
-    ctx = ModulusContext.of(spec.modulus)
-    members: set[int] = set()
-    for d in spec.divisors:
-        members.update(gcd_class(ctx, d).members)
-    return IndexSet.of(spec.modulus, members)
+    return IndexSet._unchecked(spec.modulus, _gcd_classes(spec.modulus, spec.divisors))
 
 
 def translate(s: IndexSet, k: int) -> IndexSet:
@@ -336,7 +363,19 @@ def reverse(s: IndexSet) -> IndexSet:
 
 
 def bracelet(s: IndexSet) -> frozenset[IndexSet]:
-    """Orbit of s under all translations and the reversal map."""
+    """Orbit of s under all translations and the reversal map.
+
+    The orbit holds up to 2N sets, which are priced at N bits each against
+    the digit tables' ENUMERATION_GUARD: GuardExceededError before any work
+    past it, from N = 4097 on."""
+    from .digit_tables import ENUMERATION_GUARD
+
+    N = s.modulus
+    if 2 * N * N > ENUMERATION_GUARD:
+        raise GuardExceededError(
+            f"N={N}: the bracelet orbit holds up to {2 * N} sets of {N} bits, "
+            f"past the enumeration guard {ENUMERATION_GUARD} bits"
+        )
     rev = reverse(s)
     orbit = set()
     for k in range(s.modulus):

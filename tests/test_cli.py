@@ -264,6 +264,51 @@ def test_report_guard_refuses_before_factorizing(capsys, monkeypatch):
     }
 
 
+_MERSENNE_127 = str((1 << 127) - 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("zeroset", "table", "--N", _MERSENNE_127, "--set", "0"),
+        ("zeroset", "check", "--N", _MERSENNE_127, "--set", "0"),
+        ("zeroset", "enumerate", "--N", _MERSENNE_127),
+        ("oracle", "compare", "--N", _MERSENNE_127),
+        ("sampling", "design", "--fragments", "0,2", "--N", _MERSENNE_127),
+    ],
+)
+def test_large_prime_modulus_is_refused_at_once(args, capsys):
+    # 2^127 - 1 is prime: trial division to its square root would never end
+    start = time.perf_counter()
+    assert main(list(args)) == 1
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "guard-exceeded",
+        "message": f"N={_MERSENNE_127}: factorizing needs trial divisors past the factor guard 1048576",
+    }
+
+
+def test_zeroset_at_twelve_hundred_digits(capsys):
+    # the digit split goes one level per pivot, not one per digit column
+    N, half = 1 << 1200, 1 << 1199
+    assert main(["zeroset", "check", "--N", str(N), "--divisors", "1", "--set", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"solution": False, "certificate": None}
+    assert main(["zeroset", "check", "--N", str(N), "--divisors", "1", "--set", f"0,{half}"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"solution": True, "certificate": [[0, half]]}
+    assert main(["zeroset", "table", "--N", str(N), "--set", f"3,{half}"]) == 0
+    rows = [[0] * 1199 + [1], [1, 1] + [0] * 1198]
+    assert json.loads(capsys.readouterr().out) == {"p": 2, "M": 1200, "rows": rows}
+
+
+def test_long_bracelet_orbit_is_refused(capsys):
+    assert main(["bracelet", "orbit", "--N", "200000", "--set", "0"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "guard-exceeded",
+        "message": "N=200000: the bracelet orbit holds up to 400000 sets of 200000 bits, "
+        "past the enumeration guard 33554432 bits",
+    }
+
+
 class _FirstLines(io.StringIO):
     """A stdout that stops the caller once it holds ``count`` lines."""
 

@@ -281,6 +281,24 @@ def test_large_modulus_is_solution():
     _assert_certificate(ctx, J, mc, check.certificate, {})
 
 
+def test_is_solution_with_far_apart_pivots():
+    # N = 2^1200, pivots at columns 0, 600 and 1199: a set that needs a
+    # digit column per level of recursion would pass the recursion limit
+    ctx = ModulusContext.of(1 << 1200)
+    mc = PivotSet.from_divisors(ctx, (1, 1 << 599, 1 << 1199))
+    assert mc_star(1200, mc).columns == (0, 600, 1199)
+    base = 6 | 5 << 700
+    block = [base + i + (j << 600) + (k << 1199) for k in (0, 1) for j in (0, 1) for i in (0, 1)]
+    check = is_solution(ctx, IndexSet.of(ctx.N, block), mc)
+    assert check == SolutionCheck(True, (IndexSet.of(ctx.N, block),))
+    assert is_solution(ctx, IndexSet.of(ctx.N, block[:-1]), mc) == SolutionCheck(False, None)
+    two = block + [b + (1 << 1000) for b in block]
+    check = is_solution(ctx, IndexSet.of(ctx.N, two), mc)
+    assert check.ok and [b.members for b in check.certificate] == [
+        tuple(sorted(block)), tuple(sorted(b + (1 << 1000) for b in block))
+    ]
+
+
 def test_enumeration_guard():
     with pytest.raises(GuardExceededError):
         next(enumerate_solutions(ModulusContext.of(32), PivotSet.of(())))

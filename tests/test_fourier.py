@@ -67,6 +67,18 @@ def test_idempotent_values_n4():
     assert abs(h.evaluate(0) - 0.5) < 1e-12
 
 
+def test_time_domain_is_one_inverse_fft_of_the_indicator():
+    # the pointwise definition, evaluate(n), is the reference
+    rng = random.Random(64)
+    for N in range(1, 65):
+        for J in (IndexSet.of(N, []), IndexSet.of(N, range(N)), random_index_set(rng, N)):
+            h = idempotent_from_spectrum(J)
+            values = h.time_domain()
+            indicator = Signal.of([1 if n in J.members else 0 for n in range(N)])
+            assert values == idft(indicator), (N, J.members)
+            assert max(abs(v - h.evaluate(n)) for n, v in enumerate(values.values)) < 1e-12
+
+
 def test_idempotent_under_convolution():
     rng = random.Random(3)
     for _ in range(20):

@@ -79,7 +79,7 @@ def partners_by_zero_sets(J: IndexSet) -> list[IndexSet]:
     N = J.modulus
     if len(J) == 0 or N % len(J):
         return []
-    zeros = set(fuglede._exact_zero_members(J))
+    zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
     required = tuple(n for n in range(1, N) if n not in zeros)
     masks = oracle._sized_solution_masks(N, required, (N // len(J),))
     return [K for K in _index_sets(N, masks) if tiles(J, K)]
@@ -386,7 +386,7 @@ def test_witness_test_matches_the_gram_reference_on_random_rows():
         J = IndexSet.of(N, rng.sample(range(N), rng.randint(1, min(N, 8))))
         rows = rng.sample(range(N), len(J))
         if rng.random() < 0.4:
-            zeros = set(fuglede._exact_zero_members(J))
+            zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
             rows = list(fuglede._difference_clique(N, zeros, len(J)) or rows)
         if len(rows) > 1 and rng.random() < 0.1:
             rows[-1] = rows[0]
@@ -479,8 +479,26 @@ def test_spectral_clique_search_stops_at_its_guard(monkeypatch, capsys):
 
 def searched(J: IndexSet) -> fuglede.SpectralResult:
     """The verdict of the clique search over the exact zero set of h_J."""
-    witness = fuglede._spectral_witness(J, fuglede._exact_zero_members(J))
+    witness = fuglede._spectral_witness(J, zero_set(idempotent_from_spectrum(J)).zero_set.members)
     return fuglede.SpectralResult(witness is not None, witness)
+
+
+def test_spectral_at_composite_moduli_matches_the_zero_set_search():
+    # the reference runs the search on the public exact zero set; is_spectral
+    # reads the zero set off the divisors that _zero_divisors finds
+    rng = random.Random(100)
+    composite = [N for N in range(12, 101) if len(factorize(N)) > 1]
+    spectral = 0
+    for N in composite:
+        for _ in range(4):
+            d = rng.choice([d for d in range(1, N + 1) if N % d == 0 and d <= 12])
+            J = IndexSet.of(N, rng.sample(range(N), rng.choice([d, rng.randint(1, 6)])))
+            zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
+            rows = fuglede._difference_clique(N, zeros, len(J))
+            expected = fuglede.SpectralResult(rows is not None, rows and IndexSet(N, rows))
+            assert is_spectral(J) == expected, (N, J.members)
+            spectral += expected.spectral
+    assert 40 < spectral < len(composite) * 4 - 40
 
 
 def test_spectral_by_t1_agrees_with_the_search_on_every_small_subset():

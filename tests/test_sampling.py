@@ -174,7 +174,7 @@ def test_simulation_bit_identical_to_rolled_grid():
 def test_simulation_guard_refuses_before_any_work(monkeypatch):
     # the random draw and the evaluation of h come after the guard, so a
     # missing guard fails here before anything of the size of the gather is
-    # allocated, or any of the N * |J| terms of h is taken
+    # allocated, or h is evaluated
     class Drawn(Exception):
         pass
 
@@ -201,12 +201,14 @@ def test_simulation_guard_refuses_before_any_work(monkeypatch):
         assert str(exceeded.value) == (
             f"{N * len(fragments) * R} shifted fragment bins exceed the simulation guard"
         )
-    # N * |J| = 2^24 terms of h pass
-    N = 1 << 12
-    with pytest.raises(Drawn):
-        simulate(FragmentSet.of([0]), SamplingPattern(N, IndexSet.of(N, range(N))), DiscreteSimulation(1))
-    for N, size in ((N + 1, N), (1 << 20, 1 << 19)):
-        pattern = SamplingPattern(N, IndexSet.of(N, range(size)))
-        with pytest.raises(GuardExceededError) as exceeded:
-            simulate(FragmentSet.of([0]), pattern, DiscreteSimulation(1))
-        assert str(exceeded.value) == f"{N * size} time-domain terms exceed the simulation guard"
+
+
+def test_simulation_past_the_old_terms_guard():
+    # N * |J| = 4097 * 4096 terms once refused the direct sum for h; one
+    # inverse FFT takes its place, and the result is still the rolled grid's
+    N = 4097
+    F, pattern, sim = FragmentSet.of([0]), SamplingPattern(N, IndexSet.of(N, range(N - 1))), DiscreteSimulation(1)
+    report = simulate(F, pattern, sim)
+    max_error, alias_energy = simulate_by_rolls(F, pattern, sim)
+    assert repr(report.max_error) == repr(max_error)
+    assert [repr(e) for e in report.alias_energy.values()] == [repr(e) for e in alias_energy.values()]

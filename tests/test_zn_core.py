@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idemzeros import zn_core
-from idemzeros.errors import InvalidDivisorError, ModulusMismatchError
+from idemzeros.errors import GuardExceededError, InvalidDivisorError, ModulusMismatchError
 from idemzeros.zn_core import (
     DivisorSpec,
     IndexSet,
@@ -52,6 +52,17 @@ def test_valuation_matches_factorize():
     for n, p in ((0, 2), (-4, 2), (12, 1)):
         with pytest.raises(ValueError):
             valuation(n, p)
+
+
+def test_factorize_guard_bounds_the_trial_divisors():
+    # 1048573 is the largest prime up to 2^20 and 1048583 the least above
+    assert zn_core.FACTOR_GUARD == 1 << 20
+    assert factorize(1048573**2) == ((1048573, 2),)
+    assert factorize(3 * 1048573 * 1048583) == ((3, 1), (1048573, 1), (1048583, 1))
+    assert factorize(1 << 1200) == ((2, 1200),)
+    for n in (1048583**2, (1 << 127) - 1, 6 * ((1 << 61) - 1)):
+        with pytest.raises(GuardExceededError, match=f"^N={n}: .* factor guard 1048576$"):
+            factorize(n)
 
 
 def test_modulus_context_prime_power():
@@ -227,6 +238,21 @@ def test_gcd_classes_partition():
         assert seen == set(range(N))
 
 
+def test_gcd_classes_match_math_gcd():
+    # every class and a seeded union of classes at every N <= 200, against
+    # math.gcd index by index
+    rng = random.Random(200)
+    for N in range(1, 201):
+        ctx = ModulusContext.of(N)
+        for k in proper_divisors(N) + (N,):
+            expected = tuple(i for i in range(N) if math.gcd(i, N) == k)
+            assert gcd_class(ctx, k) == IndexSet(N, expected), (N, k)
+        for divisors in ((), proper_divisors(N), rng.sample(proper_divisors(N), len(proper_divisors(N)) // 2)):
+            expected = tuple(i for i in range(N) if math.gcd(i, N) in divisors and i)
+            assert expand_zero_spec(DivisorSpec.of(N, divisors)) == IndexSet(N, expected), N
+    assert zn_core._gcd_table.cache_info().maxsize == 64
+
+
 def test_expand_zero_spec_n4():
     assert expand_zero_spec(DivisorSpec.of(4, [2])).members == (2,)
     assert expand_zero_spec(DivisorSpec.of(4, [1])).members == (1, 3)
@@ -274,6 +300,19 @@ def test_canonical_rep_is_least_of_bracelet_orbit():
         rep = canonical_bracelet_rep(s)
         assert rep == min(bracelet(s), key=lambda t: t.members), s
         assert rep == IndexSet(rep.modulus, rep.members)
+
+
+def test_bracelet_orbit_is_priced_before_any_work(monkeypatch):
+    # 2N sets of N bits against ENUMERATION_GUARD, 2^25 bits: N = 4096 passes
+    assert len(bracelet(IndexSet(4096, (0,)))) == 4096
+    monkeypatch.setattr(zn_core, "reverse", lambda s: pytest.fail("orbit built"))
+    for N in (4097, 10**7):
+        with pytest.raises(GuardExceededError) as exceeded:
+            bracelet(IndexSet(N, (0,)))
+        assert str(exceeded.value) == (
+            f"N={N}: the bracelet orbit holds up to {2 * N} sets of {N} bits, "
+            "past the enumeration guard 33554432 bits"
+        )
 
 
 def test_bracelet_examples_n8():
