@@ -6,7 +6,8 @@ Column j of a row holds the coefficient of p^j, so the leftmost digit is the
 Solutions to the zero-set problem for divisors p^mc are exactly the index sets
 whose digit table partitions into disjoint conforming tables with pivot set
 mc_star(mc); this module provides the membership test (with certificate), the
-complete enumerator, and the explicit constructor.
+complete enumerator, the explicit constructor, and the least block, which is
+the least nonempty solution and the spectral witness of Laba's T1.
 
 Both the test and the enumerator walk the base-p residue tree one digit at a
 time: a set splits into p fibers by its lowest digit, and each fiber's
@@ -20,6 +21,7 @@ blocks by least member.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -135,6 +137,16 @@ def mc_star(M: int, mc: PivotSet) -> PivotSet:
     if any(not 0 <= l < M for l in mc):
         raise ValueError(f"pivot columns {mc.columns} out of range for M={M}")
     return PivotSet.of(M - l - 1 for l in mc)
+
+
+def least_block(p: int, places) -> list[int]:
+    """The least conforming block with pivot place values ``places``, distinct
+    powers of p: every sum of d * u over u in places, 0 <= d < p, ascending.
+    Solutions are unions of blocks, so the least size is one block.  Zeroing
+    the off-pivot digits maps any block onto this one and lowers every
+    member, so no block comes before it."""
+    digits = [range(0, p * unit, unit) for unit in places]
+    return sorted(map(sum, itertools.product(*digits)))
 
 
 def is_conforming(t: DigitTable) -> bool:

@@ -55,7 +55,7 @@ from operator import mul, or_
 from typing import TYPE_CHECKING, Iterator
 
 from .cyclotomic import check_residue_guard
-from .digit_tables import ENUMERATION_GUARD
+from .digit_tables import ENUMERATION_GUARD, least_block
 from .errors import GuardExceededError
 from .fourier import _phi_divides, _zero_divisors
 from .zn_core import (
@@ -366,12 +366,12 @@ def is_spectral(J: IndexSet) -> SpectralResult:
     is the number of s = p^j, 1 <= j <= M, with Phi_s | J(x) (Laba, J. London
     Math. Soc. 65, 2002).  So a size that is no power of p is refused before
     any divisibility is tested; otherwise each is one difference-operator
-    test, and the witness is {sum_s c_s N/s : 0 <= c_s < p}, with no zero set
-    and no search.  At any other N the zero set of h_J, read off its zero
-    divisors, is searched for a row set, a search that stops at CLIQUE_GUARD
-    nodes.  Either witness passes the integer witness test ``_is_witness`` or
-    raises AssertionError; the residue guard refuses a too-large N before it
-    is factorized.
+    test, and the witness is the least block {sum_s c_s N/s : 0 <= c_s < p},
+    with no zero set and no search.  At any other N the zero set of h_J, read
+    off its zero divisors, is searched for a row set, a search that stops at
+    CLIQUE_GUARD nodes.  Either witness passes the integer witness test
+    ``_is_witness`` or raises AssertionError; the residue guard refuses a
+    too-large N before it is factorized.
     """
     N = J.modulus
     if len(J) == 0:
@@ -387,9 +387,7 @@ def is_spectral(J: IndexSet) -> SpectralResult:
     S = _t1_orders(J, p)
     if S is None:
         return SpectralResult(False, None)
-    digits = [range(0, p * (N // s), N // s) for s in S]
-    rows = sorted(map(sum, itertools.product(*digits)))
-    return SpectralResult(True, _verified_witness(J, rows))
+    return SpectralResult(True, _verified_witness(J, least_block(p, [N // s for s in S])))
 
 
 @dataclass(frozen=True)

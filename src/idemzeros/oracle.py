@@ -18,22 +18,23 @@ are added first, one int64 per limb and mask, and the exact residues only at
 masks whose fingerprint is 0, which they decide.  One reader, ``_limb_sum``,
 adds up the tables for this search and for the Fuglede class scan alike.  No
 structural theorem prunes the search, so results stay independent of the
-enumeration machinery they validate.  One guard, with no override, refuses
-before any work a search of more than SEARCH_GUARD subsets, as many as the
-full search at N = 24 tests.
+enumeration machinery they validate; the digit tables enter only
+``compare_with_theorem``, as the side it checks.  One guard, with no
+override, refuses before any work a search of more than SEARCH_GUARD
+subsets, as many as the full search at N = 24 tests; ``compare_with_theorem``
+checks it before it expands its divisors into indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
-from typing import Iterable
+from math import comb
 
 import numpy as np
 
 from .cyclotomic import power_residue_matrix
-from .digit_tables import PivotSet, _union_masks, mc_star, solution_masks
+from .digit_tables import PivotSet, solution_masks
 from .errors import GuardExceededError
 from .zn_core import (
     DivisorSpec,
@@ -176,6 +177,11 @@ def _solution_masks(N, zeros, mode, max_cardinality) -> np.ndarray:
     """The cached search, once the guard has passed; it runs before any work."""
     if mode not in ("vanish-at-least", "exact-zero-set"):
         raise ValueError(f"unknown mode {mode!r}")
+    return _search(N, tuple(zeros), mode, _search_cap(N, max_cardinality))
+
+
+def _search_cap(N: int, max_cardinality: int | None) -> int:
+    """The cap of a search, clipped to N, once it has passed the guard."""
     if max_cardinality is not None and max_cardinality < 0:
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = N if max_cardinality is None else min(max_cardinality, N)
@@ -186,7 +192,7 @@ def _solution_masks(N, zeros, mode, max_cardinality) -> np.ndarray:
             raise GuardExceededError(
                 f"{total} subsets up to cardinality {cap} exceeds the search guard"
             )
-    return _search(N, tuple(zeros), mode, cap)
+    return cap
 
 
 def _subset_count(N: int, cap: int) -> int | str:
@@ -241,11 +247,13 @@ def compare_with_theorem(
     max_cardinality: int | None = None,
 ) -> ComparisonReport:
     """Symmetric difference between the brute-force solution set and the
-    digit-table enumeration, over subsets up to the cardinality cap."""
+    digit-table enumeration, over subsets up to the cardinality cap.  The
+    search guard is checked before the zero spec is expanded into indices."""
     cap = ctx.N if max_cardinality is None else max_cardinality
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
+    search_cap = _search_cap(ctx.N, cap)
     zeros = expand_zero_spec(spec)
-    oracle_side = _solution_masks(ctx.N, zeros.members, "vanish-at-least", cap)
+    oracle_side = _search(ctx.N, zeros.members, "vanish-at-least", search_cap)
     masks = solution_masks(ctx, mc, cap)
     theorem_side = np.fromiter(masks, dtype=oracle_side.dtype, count=len(masks))
     theorem_side.sort()
@@ -264,30 +272,3 @@ def compare_with_theorem(
         only_oracle,
         only_theorem,
     )
-
-
-def _sized_solution_masks(
-    N: int, zeros: tuple[int, ...], sizes: Iterable[int]
-) -> np.ndarray | list[int]:
-    """Masks of the sets with exactly s members whose root sums vanish at
-    every index in ``zeros``, for the first s in ``sizes`` that has any, in no
-    particular order; empty when none has.  The one place that picks a route,
-    from N: the digit tables at a prime-power N and the capped search
-    elsewhere.  Table solutions are unions of blocks of p^|mc| members, for
-    the pivot columns of the divisors gcd(n, N), so other sizes build nothing.
-    """
-    ctx = ModulusContext.of(N)
-    if ctx.is_prime_power:
-        mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in zeros})
-        cols = mc_star(ctx.M, mc).columns
-        for size in (s for s in sizes if s % ctx.p ** len(mc) == 0):
-            if masks := _union_masks(ctx.p, ctx.M, cols, size).get(size):
-                return masks
-        return []
-    # masks wider than 62 bits are Python ints in an object array
-    count = np.bitwise_count if N <= 62 else np.frompyfunc(int.bit_count, 1, 1)
-    for size in sizes:
-        masks = _solution_masks(N, zeros, "vanish-at-least", size)
-        if len(masks := masks[count(masks) == size]):
-            return masks
-    return []

@@ -8,19 +8,27 @@ circular grid of N*R bins.  It reads only the |F|*R fragment bins, gathered
 once for every shift, so it costs O(N*|F|*R) besides one inverse FFT for h;
 a simulation of more than SIMULATION_GUARD gathered bins is refused before
 any work.
+
+The design is the least nonempty J, by size, then members, whose idempotent
+vanishes on the pairwise fragment differences.  At N = p^M it is one
+conforming block of the digit tables, built as it is; elsewhere the oracle's
+search runs at each size in turn.  A period past SIMULATION_GUARD, which no
+simulation admits, is refused before the design starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable
 
 import numpy as np
 
+from .digit_tables import PivotSet, least_block, mc_star
 from .errors import GuardExceededError, ModulusMismatchError, PreconditionError
 from .fourier import Idempotent, idempotent_from_spectrum
-from .oracle import _sized_solution_masks
-from .zn_core import IndexSet, _index_sets
+from .oracle import _solution_masks
+from .zn_core import IndexSet, ModulusContext, _index_sets
 
 SIMULATION_GUARD = 1 << 24
 
@@ -95,15 +103,31 @@ def required_zero_set(F: FragmentSet, N: int) -> IndexSet:
 def design_pattern(F: FragmentSet, N: int) -> DesignResult:
     """Smallest nonempty J whose idempotent vanishes on all fragment differences.
 
-    Ties break lexicographically.  J has at least |F| members, as the vectors
-    (w^{jf})_{j in J} are pairwise orthogonal, and Z_N itself is a pattern,
-    so the oracle's size-exact solution query tries sizes from |F| to N.  The
-    period picks its route: digit tables when N is a prime power, the capped
-    exhaustive search otherwise.  Only the chosen J becomes an index set.
+    Ties break lexicographically.  A period past SIMULATION_GUARD, which no
+    simulation admits, is refused once it is factorized, before the design
+    starts; the factor guard bounds that step.  At N = p^M, J is the
+    least block with pivot columns mc*(mc), mc read off the gcds of the
+    required zeros.  Elsewhere J has at least |F| members, as the vectors
+    (w^{jf})_{j in J} are pairwise orthogonal, and Z_N is a pattern, so the
+    oracle's search, capped at each size from |F| to N, keeps the first size
+    that has one.  Only the chosen J becomes an index set.
     """
     required = required_zero_set(F, N)
-    masks = _sized_solution_masks(N, required.members, range(len(F.fragments), N + 1))
-    best = next(_index_sets(N, masks))
+    ctx = ModulusContext.of(N)
+    if N > SIMULATION_GUARD:
+        raise GuardExceededError(f"period N={N} exceeds the simulation guard {SIMULATION_GUARD}")
+    if ctx.is_prime_power:
+        mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in required.members})
+        block = least_block(ctx.p, [ctx.p**c for c in mc_star(ctx.M, mc)])
+        best = IndexSet._unchecked(N, tuple(block))
+    else:
+        # masks wider than 62 bits are Python ints in an object array
+        count = np.bitwise_count if N <= 62 else np.frompyfunc(int.bit_count, 1, 1)
+        for size in range(len(F.fragments), N + 1):
+            masks = _solution_masks(N, required.members, "vanish-at-least", size)
+            if len(masks := masks[count(masks) == size]):
+                break
+        best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))
 
 

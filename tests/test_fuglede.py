@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
 
 from idemzeros import cli, fourier, fuglede, oracle
 from idemzeros.cyclotomic import power_residue_matrix
+from idemzeros.digit_tables import PivotSet, _union_masks, mc_star
 from idemzeros.errors import GuardExceededError
 from idemzeros.fuglede import (
     find_tiling_partners,
@@ -74,14 +75,26 @@ def test_partners_composite_modulus():
 
 def partners_by_zero_sets(J: IndexSet) -> list[IndexSet]:
     """The sets of N/|J| members whose idempotent vanishes wherever h_J does
-    not, away from 0, from the oracle's size-exact query, each checked by
-    ``tiles``: an independent route to the partners, through zero sets."""
+    not, away from 0, each checked by ``tiles``: an independent route to the
+    partners, through zero sets.  At N = p^M they are listed from the digit
+    tables, the unions of blocks of p^|mc| members, so other sizes have none;
+    elsewhere the oracle's search is capped at N/|J| and its masks of that
+    size are kept."""
     N = J.modulus
     if len(J) == 0 or N % len(J):
         return []
     zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
     required = tuple(n for n in range(1, N) if n not in zeros)
-    masks = oracle._sized_solution_masks(N, required, (N // len(J),))
+    ctx, size = ModulusContext.of(N), N // len(J)
+    if ctx.is_prime_power:
+        mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in required})
+        cols = mc_star(ctx.M, mc).columns
+        masks = []
+        if size % ctx.p ** len(mc) == 0:
+            masks = _union_masks(ctx.p, ctx.M, cols, size).get(size, [])
+    else:
+        masks = oracle._solution_masks(N, required, "vanish-at-least", size)
+        masks = masks[np.bitwise_count(masks) == size]
     return [K for K in _index_sets(N, masks) if tiles(J, K)]
 
 

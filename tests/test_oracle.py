@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from math import comb
@@ -6,12 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from idemzeros import oracle
+from idemzeros import cli, oracle, zn_core
 from idemzeros.cyclotomic import is_zero, power_residue_matrix, root_sum
 from idemzeros.digit_tables import PivotSet, solution_masks
 from idemzeros.errors import GuardExceededError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions, compare_with_theorem
+from idemzeros.sampling import FragmentSet, design_pattern
 from idemzeros.zn_core import DivisorSpec, IndexSet, ModulusContext, expand_zero_spec
 
 
@@ -85,9 +87,9 @@ def test_wide_modulus_capped_search():
         expected, key=lambda J: J.members
     )
     assert len(expected) == 1 + 50 * 50
-    # the size-exact query counts the bits of wide masks too
-    pairs = oracle._sized_solution_masks(N, zeros.members, (2,))
-    assert sorted(pairs.tolist()) == sorted(J.mask for J in expected if len(J) == 2)
+    # a design at a composite period counts the bits of wide masks too
+    for F, best in (([0, 50], (0, 1)), ([0, 2], (0, 25))):
+        assert design_pattern(FragmentSet.of(F), N).pattern.offsets.members == best
 
 
 def test_narrow_sums_with_larger_cyclotomic_coefficients():
@@ -298,6 +300,21 @@ def test_compare_with_theorem_capped():
     report = compare_with_theorem(ModulusContext.of(25), PivotSet.of([1]), max_cardinality=5)
     assert report.passed
     assert report.oracle_count == report.theorem_count > 0
+
+
+def test_compare_refuses_before_expanding_the_zero_spec(monkeypatch, capsys):
+    # expanding the divisor 1 of N = 2^22 would build an N-entry gcd table
+    def expanded(N):
+        raise AssertionError(f"gcd table of {N} entries built")
+
+    monkeypatch.setattr(zn_core, "_gcd_table", expanded)
+    N = 1 << 22
+    message = f"2^{N} subsets up to cardinality {N} exceeds the search guard"
+    with pytest.raises(GuardExceededError) as exceeded:
+        compare_with_theorem(ModulusContext.of(N), PivotSet.of([0]))
+    assert str(exceeded.value) == message
+    assert cli.main(["oracle", "compare", "--N", str(N), "--divisors", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"code": "guard-exceeded", "message": message}
 
 
 def test_compare_with_theorem_reports_differences(monkeypatch):

@@ -1,11 +1,19 @@
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 from idemzeros import sampling
 from idemzeros.cyclotomic import is_zero, root_sum
+from idemzeros.digit_tables import (
+    PivotSet,
+    _union_masks,
+    is_solution,
+    least_block,
+    mc_star,
+)
 from idemzeros.errors import GuardExceededError, PreconditionError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions
@@ -18,7 +26,7 @@ from idemzeros.sampling import (
     required_zero_set,
     simulate,
 )
-from idemzeros.zn_core import IndexSet
+from idemzeros.zn_core import IndexSet, ModulusContext, _index_sets, factorize
 
 
 def simulate_by_rolls(F, pattern, sim):
@@ -59,8 +67,9 @@ def test_design_example():
 
 
 def test_design_is_least_solution_by_size_then_members():
-    # the listed solutions, minimised by (size, members), are the reference
-    # the prime powers 4, 8, 9 and 16 take the digit tables, the rest the search
+    # the oracle's listed solutions, minimised by (size, members), are the
+    # reference; at the prime powers 4, 8, 9 and 16 the design is the least
+    # digit-table block, so two independent routes meet there
     rng = random.Random(89)
     for N in (6, 8, 9, 10, 12, 14, 15, 18, 4, 16):
         for _ in range(6):
@@ -69,6 +78,99 @@ def test_design_is_least_solution_by_size_then_members():
             solutions = brute_force_solutions(N, required_zero_set(F, N))
             best = min((J for J in solutions if J.members), key=lambda J: (len(J), J.members))
             assert design_pattern(F, N).pattern.offsets == best, (N, F)
+
+
+def design_by_listing(F: FragmentSet, N: int) -> IndexSet:
+    """The design at N = p^M by the digit-table listing: the unions of blocks
+    with each size from |F| up that p^|mc| divides, until one has any, and
+    the least of those in member order."""
+    ctx = ModulusContext.of(N)
+    mc = PivotSet.from_divisors(ctx, {gcd(n, N) for n in required_zero_set(F, N).members})
+    cols = mc_star(ctx.M, mc).columns
+    for size in range(len(F.fragments), N + 1):
+        if size % ctx.p ** len(mc) == 0:
+            if masks := _union_masks(ctx.p, ctx.M, cols, size).get(size):
+                return next(_index_sets(N, masks))
+
+
+def test_least_block_is_the_least_single_block():
+    # against the least of the listed single blocks, wherever the listing fits
+    # its guard; past it, 3^27 blocks at N = 81 with pivots {0, 1, 2}, the block
+    # is still one solution block
+    refused = []
+    for N in range(2, 82):
+        if len(factorize(N)) > 1:
+            continue
+        ctx = ModulusContext.of(N)
+        for k in range(ctx.M + 1):
+            for cols in itertools.combinations(range(ctx.M), k):
+                block = least_block(ctx.p, [ctx.p**c for c in cols])
+                J = IndexSet(N, tuple(block))
+                check = is_solution(ctx, J, mc_star(ctx.M, PivotSet(cols)))
+                assert check.ok and check.certificate == (J,), (N, cols)
+                size = ctx.p**k
+                try:
+                    blocks = _union_masks(ctx.p, ctx.M, cols, size)[size]
+                except GuardExceededError:
+                    refused.append((N, cols))
+                    continue
+                least = min(IndexSet.from_mask(N, m).members for m in blocks)
+                assert tuple(block) == least, (N, cols)
+    assert refused == [
+        (49, (0,)),
+        (64, (0, 1, 2)), (64, (0, 1, 3)), (64, (0, 1, 2, 3)), (64, (0, 1, 2, 4)),
+        (64, (0, 1, 3, 4)), (64, (0, 1, 2, 3, 4)),
+        (81, (0, 1)), (81, (0, 2)), (81, (0, 1, 2)),
+    ]
+
+
+def test_design_at_prime_powers_matches_the_listing():
+    # wherever the listing answers; it meets its guard only at N = 49
+    answered, refused = 0, []
+    for N in (n for n in range(2, 65) if len(factorize(n)) == 1):
+        for k in (1, 2, 3):
+            for F in itertools.combinations(range(8), k):
+                if N > F[-1] + 1:
+                    F = FragmentSet(F)
+                    try:
+                        expected = design_by_listing(F, N)
+                    except GuardExceededError:
+                        refused.append((N, F.fragments))
+                        continue
+                    assert design_pattern(F, N).pattern.offsets == expected, (N, F)
+                    answered += 1
+    assert (answered, refused) == (2060, [(49, (0, 7))])
+
+
+def test_design_past_the_old_listing_guard():
+    # the listing refused each of these: it needed more than
+    # ENUMERATION_GUARD // N masks of N bits
+    for F, N, best in (
+        ([0, 7], 49, range(7)),
+        ([0, 11], 121, range(11)),
+        ([0, 25], 125, range(5)),
+        ([0, 81], 243, range(3)),
+    ):
+        with pytest.raises(GuardExceededError):
+            design_by_listing(FragmentSet.of(F), N)
+        result = design_pattern(FragmentSet.of(F), N)
+        assert result.pattern.offsets.members == tuple(best), (F, N)
+        for n in required_zero_set(FragmentSet.of(F), N).members:
+            assert is_zero(root_sum(N, (j * n for j in best)))
+
+
+def test_design_period_past_the_simulation_guard_is_refused_before_the_design(monkeypatch):
+    def work(*args):
+        raise AssertionError("design work past the guard")
+
+    for name in ("least_block", "_solution_masks", "idempotent_from_spectrum"):
+        monkeypatch.setattr(sampling, name, work)
+    guard = sampling.SIMULATION_GUARD
+    # 2^24 + 1 = 97 * 257 * 673, and 3^16
+    for N in (guard + 1, 3**16):
+        with pytest.raises(GuardExceededError) as exceeded:
+            design_pattern(FragmentSet.of([0, 1]), N)
+        assert str(exceeded.value) == f"period N={N} exceeds the simulation guard {guard}"
 
 
 def test_design_composite_period():
