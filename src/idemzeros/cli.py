@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,11 +74,14 @@ def _emit_set(s: IndexSet, fmt: str) -> None:
         print(json.dumps(s.to_json()))
 
 
-def _emit(obj: dict, fmt: str) -> None:
+def _line(obj: dict, fmt: str) -> str:
     if fmt == "csv":
-        print(",".join(f"{k}={v}" for k, v in obj.items()))
-    else:
-        print(json.dumps(obj))
+        return ",".join(f"{k}={v}" for k, v in obj.items())
+    return json.dumps(obj)
+
+
+def _emit(obj: dict, fmt: str) -> None:
+    print(_line(obj, fmt))
 
 
 def _zeroset_enumerate(args) -> None:
@@ -149,15 +153,17 @@ def _sampling_design(args) -> None:
 
     result = design_pattern(FragmentSet.of(fragments), args.N)
     h = result.idempotent.time_domain().values
-    _emit(
-        {
-            "J": list(result.pattern.offsets.members),
-            "N": args.N,
-            "rate": result.rate,
-            "h": [[v.real, v.imag] for v in h],
-        },
-        args.format,
-    )
+    obj = {"J": list(result.pattern.offsets.members), "N": args.N, "rate": result.rate, "h": []}
+    # the line that _emit prints with all of h, written isqrt(N) values at a
+    # time, each chunk in the bytes that json.dumps or str gives it in the list
+    head, tail = _line(obj, args.format).rsplit("[]", 1)
+    dumps = json.dumps if args.format == "json" else str
+    step = math.isqrt(len(h))
+    sys.stdout.write(head + "[")
+    for first in range(0, len(h), step):
+        pairs = [[v.real, v.imag] for v in h[first : first + step]]
+        sys.stdout.write((", " if first else "") + dumps(pairs)[1:-1])
+    sys.stdout.write("]" + tail + "\n")
 
 
 def _sampling_simulate(args) -> None:

@@ -382,30 +382,3 @@ def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, l
                 joined = grown
         by_size = joined
     return by_size
-
-
-def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:
-    """Check the balanced-residue structure of a singleton-divisor solution.
-
-    Precondition: 0 in J and every member is a multiple of p^{l'-1} where
-    l' = M - l.  True iff, reduced mod p^{l'}, the members hit 0 and every
-    nonzero multiple of p^{l'-1} with one common multiplicity.
-    """
-    if not ctx.is_prime_power:
-        raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
-    if not 0 <= l < ctx.M:
-        raise PreconditionError(f"pivot exponent {l} out of range for M={ctx.M}")
-    lprime = ctx.M - l
-    unit = ctx.p ** (lprime - 1)
-    if 0 not in J.members:
-        raise PreconditionError("index set must be translated so that 0 is a member")
-    if any(i % unit for i in J.members):
-        raise PreconditionError(f"all members must be multiples of {unit}")
-    dprime = ctx.p**lprime
-    counts: dict[int, int] = {}
-    for i in J.members:
-        counts[i % dprime] = counts.get(i % dprime, 0) + 1
-    residues = {a * unit for a in range(ctx.p)}
-    if set(counts) != residues:
-        return False
-    return len(set(counts.values())) == 1

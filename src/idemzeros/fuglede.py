@@ -28,9 +28,10 @@ vanishes at every divisor it does not.  A translate of a set by minus its
 least member has the same class and a mask no larger, so only the masks that
 hold 0 are scanned.  A mask vanishes at a divisor iff the exact residue sums
 of its low and high bits cancel.  Those sums and their 64-bit fingerprints
-come from the oracle's one reader of its limb tables.  Fingerprints rule out the low halves
-that no high half can cancel, exact integer ids are built only for the
-rest, and those exact sums decide every flag.  A mask's class depends on each
+come from the oracle's one reader of its limb tables, and the oracle's one
+match of two half tables, which its own search uses too, rules out the low
+halves that no high half can cancel.  Exact integer ids are built only for
+the rest, and those exact sums decide every flag.  A mask's class depends on each
 half only through its popcount and ids, so each half is cut down to the least
 half of each distinct row before the halves are paired, in blocks.
 
@@ -76,8 +77,7 @@ REPORT_GUARD_N = 32
 CLIQUE_GUARD = 1 << 20
 # keys per block of the class scan
 _BLOCK = 1 << 15
-# highs from which sorting saves more than it costs: the lows into distinct
-# rows, and the highs' fingerprints for the search of the lows that match one
+# highs from which sorting the lows into distinct rows saves more than it costs
 _GROUP_LOWS_FROM = 8
 
 
@@ -446,11 +446,9 @@ def _class_reps(N: int) -> dict[tuple, int]:
     negated high bits are equal.  Those sums come from ``oracle._limb_sum``,
     whose fingerprints are linear mod 2^64, so equal sums have equal
     fingerprints.  Exact sums get common integer ids only at the lows whose
-    fingerprint some negated high shares; every other low gets id -1, which
-    no high has.  From _GROUP_LOWS_FROM highs on, those lows are found by a
-    binary search in the sorted high fingerprints; below, by ``np.isin``,
-    which compares with a few highs directly.  (With more highs ``np.isin``
-    sorts through ``np.unique``, which loads ``numpy.ma``.)
+    fingerprint some negated high shares, which ``oracle._fingerprint_match``
+    finds, as it does for the oracle's search; every other low gets id -1,
+    which no high has.
 
     A mask's key depends on each half only through its (popcount, ids) row,
     so each half is cut down to the least half of each distinct row; with
@@ -462,7 +460,7 @@ def _class_reps(N: int) -> dict[tuple, int]:
     """
     import numpy as np
 
-    from .oracle import _limb_sum
+    from .oracle import _fingerprint_match, _limb_sum
 
     divisors = proper_divisors(N)
     low_bits = min(N, 16)
@@ -470,14 +468,7 @@ def _class_reps(N: int) -> dict[tuple, int]:
     highs = np.arange(1 << (N - low_bits))
     low_ids, high_ids = [], []
     for d in divisors:
-        low_fp = _limb_sum(N, d, lows, 0, low_bits, exact=False)
-        high_fp = -_limb_sum(N, d, highs, low_bits, N, exact=False)
-        if len(highs) < _GROUP_LOWS_FROM:
-            hits = np.flatnonzero(np.isin(low_fp, high_fp))
-        else:
-            high_fp.sort()
-            at = np.searchsorted(high_fp, low_fp).clip(max=len(high_fp) - 1)
-            hits = np.flatnonzero(high_fp[at] == low_fp)
+        _, _, hits = _fingerprint_match(N, d, lows, highs, low_bits)
         low_sums = _limb_sum(N, d, lows[hits], 0, low_bits, exact=True)
         sums = np.concatenate([low_sums, -_limb_sum(N, d, highs, low_bits, N, exact=True)])
         rows_as_bytes = sums.view(np.dtype((np.void, sums.strides[0])))[:, 0]

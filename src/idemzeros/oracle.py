@@ -1,24 +1,27 @@
 """Independent ground truth: exhaustive subset search with exact zero tests.
 
-One search answers every query.  It builds the mask of every subset of Z_N
-with at most ``cap`` members by doubling over the N positions, once per
-(N, cap), then keeps the masks whose root sum vanishes at each prescribed
-zero and, for an exact zero set, at no other index.  The pass over the full
-table for the least zero is cached apart, so searches that share their least
-zero share that pass, and searches with other least zeros share the table;
-the other zeros, and the exact-mode indices, are tested on its survivors.  A
-root sum at index n is the exact residue of sum_j x^(j*n mod N) modulo the
-N-th cyclotomic polynomial, added up from subset-sum tables over fixed-width
-limbs of the mask, cached per (N, n) and built for all limbs in one doubling,
-in int16 when a bound on every partial sum allows and in int64 otherwise.
-Next to each table the cache entry holds its fingerprints: each residue's dot
-product with fixed odd pseudo-random weights, wrapped mod 2^64.  The
-fingerprint is linear, so a vanishing sum has fingerprint 0; the fingerprints
-are added first, one int64 per limb and mask, and the exact residues only at
-masks whose fingerprint is 0, which they decide.  One reader, ``_limb_sum``,
-adds up the tables for this search and for the Fuglede class scan alike.  No
-structural theorem prunes the search, so results stay independent of the
-enumeration machinery they validate; the digit tables enter only
+One search answers every query.  The subsets of Z_N with at most ``cap``
+members whose root sum vanishes at the least prescribed zero come from a meet
+in the middle (Horowitz and Sahni, J. ACM 21, 1974): a mask splits at a limb
+boundary near N/2, the masks of each half are built by doubling, and a low
+half joins a high half iff its root sum equals the high half's negated sum.
+That pass is cached per (N, cap, zero), so searches that share their least
+zero share it; the other zeros, and for an exact zero set every other index,
+are tested on its survivors.  A search with no zeros returns the table of
+every subset as it is.  A root sum at index n is the exact residue of
+sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
+subset-sum tables over fixed-width limbs of the mask, cached per (N, n) and
+built for all limbs in one doubling, in int16 when a bound on every partial
+sum allows and in int64 otherwise.  Next to each table the cache entry holds
+its fingerprints: each residue's dot product with fixed odd pseudo-random
+weights, wrapped mod 2^64.  The fingerprint is linear, so a vanishing sum has
+fingerprint 0 and two halves that cancel have opposite fingerprints; the
+fingerprints rule pairs out, and the exact residues decide every pair and
+every mask they let through.  One reader, ``_limb_sum``, adds up the tables,
+and one match, ``_fingerprint_match``, pairs the fingerprints of two half
+tables, for this search and for the Fuglede class scan alike.  No structural
+theorem prunes the search, so results stay independent of the enumeration
+machinery they validate; the digit tables enter only
 ``compare_with_theorem``, as the side it checks.  One guard, with no
 override, refuses before any work a search of more than SEARCH_GUARD
 subsets, as many as the full search at N = 24 tests; ``compare_with_theorem``
@@ -120,12 +123,43 @@ def _vanishes(N: int, masks: np.ndarray, n: int) -> np.ndarray:
     return flags
 
 
-@lru_cache(maxsize=1)
+def _fingerprint_match(
+    N: int, n: int, lows: np.ndarray, highs: np.ndarray, split: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low fingerprints, negated high fingerprints, hits) at index n, where
+    ``lows`` hold bits [0, split) and ``highs`` bits [split, N), shifted down,
+    and hits are the ascending indices of the lows whose fingerprint some
+    negated high shares.  A mask's root sum vanishes only if its low and
+    negated high fingerprints are equal, so no other low can join a high.
+    The one match of two half tables, for ``_vanishing`` and the Fuglede
+    class scan alike."""
+    low_fp = _limb_sum(N, n, lows, 0, split, exact=False)
+    high_fp = -_limb_sum(N, n, highs, split, N, exact=False)
+    # a one-hash filter with a slot per low, then a binary search of the lows
+    # that pass in the sorted high fingerprints
+    slots = (1 << len(lows).bit_length()) - 1
+    seen = np.zeros(slots + 1, dtype=bool)
+    seen[high_fp & slots] = True
+    maybe = np.flatnonzero(seen[low_fp & slots])
+    ranked = np.sort(high_fp)
+    at = np.searchsorted(ranked, low_fp[maybe]).clip(max=len(ranked) - 1)
+    hits = maybe[ranked[at] == low_fp[maybe]]
+    return low_fp, high_fp, hits
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Members per mask, as int64; masks wider than 62 bits are Python ints."""
+    if masks.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(masks).astype(np.int64)
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+@lru_cache(maxsize=3)
 def _subset_masks(N: int, cap: int) -> np.ndarray:
     """Ascending masks of the subsets of Z_N with at most ``cap`` members;
-    read-only, since the cache shares them.  Built once per (N, cap) for the
-    passes of every least zero, and for the zero-less search, which returns
-    it as it is."""
+    read-only, since the cache shares them.  Its three entries hold the two
+    half tables of ``_vanishing`` and the table that the zero-less search
+    returns as it is."""
     total = sum(comb(N, k) for k in range(cap + 1))
     # int64 holds bits 0..62; wider masks are Python ints
     masks = np.zeros(total, dtype=np.int64 if N <= 62 else object)
@@ -145,12 +179,65 @@ def _subset_masks(N: int, cap: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
     """Ascending masks of the subsets with at most ``cap`` members whose root
-    sum vanishes at index n; read-only, since the cache shares them.  The one
-    pass over the full subset table, shared by every search whose least
-    prescribed zero is n; the table itself is built once per (N, cap) for
-    every n."""
-    masks = _subset_masks(N, cap)
-    masks = masks[_vanishes(N, masks, n)]
+    sum vanishes at index n; read-only, since the cache shares them.  Shared
+    by every search whose least prescribed zero is n.
+
+    A meet in the middle: a mask splits at a multiple of _LIMB near N/2, so
+    ``_limb_sum`` reads each half as it is, and its sum vanishes iff the sum
+    of its low bits cancels that of its high bits.  Up to N = _LIMB the high
+    half is the one mask 0.  The lows that ``_fingerprint_match`` finds get
+    one sortable key each: the high bits of the fingerprint, the popcount and
+    the index.  After one sort, a binary search gives each high the run of
+    lows with its coarse fingerprint and at most cap - popcount(high)
+    members, so the number of pairs is known before any mask is built.  The
+    exact sums decide every pair: a high that cancels the first low of its
+    run cancels each low with that low's sum, and any other low is added to
+    the high on its own.  Pairs are decided in blocks of highs holding about
+    _CHUNK pairs, so memory follows the output, not the subset table."""
+    split = min(N, _LIMB * -(-N // (2 * _LIMB)))
+    lows = _subset_masks(split, min(cap, split))
+    highs = _subset_masks(N - split, min(cap, N - split))
+    low_fp, high_fp, hits = _fingerprint_match(N, n, lows, highs, split)
+    # one sortable key per matched low: the high bits of its fingerprint, its
+    # popcount and its index in ``lows``; coarser fingerprints still only rule out
+    index_bits = len(lows).bit_length()
+    shift = index_bits + cap.bit_length()
+    keys = low_fp[hits] >> shift << shift | _popcount(lows[hits]) << index_bits | hits
+    keys.sort()
+    hits = keys & (1 << index_bits) - 1
+    # each high's run: the lows with its coarse fingerprint and popcount at most
+    # cap - popcount(high)
+    base = high_fp >> shift << shift
+    room = (cap - _popcount(highs)) << index_bits | (1 << index_bits) - 1
+    start = np.searchsorted(keys, base)
+    counts = np.searchsorted(keys, base | room, side="right") - start
+    ends = np.cumsum(counts)
+    # the first low of each coarse fingerprint stands for the lows with its exact
+    # sum, so a high that cancels it decides those pairs at once; any other low
+    # (two sums with one coarse fingerprint) is paired and added up on its own
+    low_sums = _limb_sum(N, n, lows[hits], 0, split, exact=True)
+    high_sums = _limb_sum(N, n, highs, split, N, exact=True)
+    agrees = ~(low_sums - low_sums[np.searchsorted(keys, keys >> shift << shift)]).any(axis=1)
+    cancels = ~(low_sums[start.clip(max=len(keys) - 1)] + high_sums).any(axis=1)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK), side="right")
+    blocks = []
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(highs)]):
+        block = counts[a:b]
+        if not block.any():
+            continue
+        hi = np.repeat(np.arange(a, b), block)
+        at_low = np.repeat(start[a:b] - np.cumsum(block) + block, block) + np.arange(len(hi))
+        keep = agrees[at_low] & cancels[hi]
+        other = np.flatnonzero(~agrees[at_low])
+        keep[other] = ~(low_sums[at_low[other]] + high_sums[hi[other]]).any(axis=1)
+        # pairs ascend by high and, once sorted, by low; within a high the lows
+        # come in ascending runs of one popcount, which a stable sort merges
+        pairs = np.sort(hi[keep] * len(lows) + hits[at_low[keep]], kind="stable")
+        high, low = highs[pairs // len(lows)], lows[pairs % len(lows)]
+        if N > 62:
+            high, low = high.astype(object), low.astype(object)
+        blocks.append(high << split | low)
+    masks = np.concatenate(blocks)
     masks.setflags(write=False)
     return masks
 

@@ -27,7 +27,7 @@ import numpy as np
 from .digit_tables import PivotSet, least_block, mc_star
 from .errors import GuardExceededError, ModulusMismatchError, PreconditionError
 from .fourier import Idempotent, idempotent_from_spectrum
-from .oracle import _solution_masks
+from .oracle import _popcount, _solution_masks
 from .zn_core import IndexSet, ModulusContext, _index_sets
 
 SIMULATION_GUARD = 1 << 24
@@ -121,11 +121,9 @@ def design_pattern(F: FragmentSet, N: int) -> DesignResult:
         block = least_block(ctx.p, [ctx.p**c for c in mc_star(ctx.M, mc)])
         best = IndexSet._unchecked(N, tuple(block))
     else:
-        # masks wider than 62 bits are Python ints in an object array
-        count = np.bitwise_count if N <= 62 else np.frompyfunc(int.bit_count, 1, 1)
         for size in range(len(F.fragments), N + 1):
             masks = _solution_masks(N, required.members, "vanish-at-least", size)
-            if len(masks := masks[count(masks) == size]):
+            if len(masks := masks[_popcount(masks) == size]):
                 break
         best = next(_index_sets(N, masks))
     return DesignResult(SamplingPattern(N, best), idempotent_from_spectrum(best), len(best))

