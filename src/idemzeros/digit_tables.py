@@ -16,14 +16,17 @@ column the fibers must hold equally many blocks, and the i-th blocks of the p
 fibers join into one block; at any other column the fibers are independent.
 The test takes the columns below a pivot in one step, as residue classes, so
 it recurses once per pivot, not once per digit.  Certificates list their
-blocks by least member.
+blocks by least member.  The enumerator joins the fibers' masks as lists of
+Python ints while a join makes at most _ARRAY_JOIN_MIN masks; a larger join,
+up to 62 bits, is one int64 outer OR, so a long listing reaches the oracle
+and ``zn_core`` as the array they sort, with no list of all its masks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     DigitChoiceError,
@@ -33,6 +36,9 @@ from .errors import (
     PreconditionError,
 )
 from .zn_core import DivisorSpec, IndexSet, ModulusContext, _index_sets, valuation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,12 @@ def _generate_elements(p, M, cols, choices, prefix):
 # Mask bits (masks times N) that enumerate_solutions may build in one call.
 ENUMERATION_GUARD = 1 << 25
 
+# A join of more masks than this is one int64 outer OR.  One join from two
+# lists breaks even near 64 masks, but a fold of a few hundred masks made as
+# arrays ran slower than as lists: each array join or concatenation has a
+# fixed cost of about 2 us, felt by calls of tens of microseconds.
+_ARRAY_JOIN_MIN = 256
+
 
 @dataclass(frozen=True)
 class SolutionCheck:
@@ -308,9 +320,11 @@ def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]]
 
 def solution_masks(
     ctx: ModulusContext, mc: PivotSet, max_cardinality: int | None = None
-) -> list[int]:
+) -> list[int] | np.ndarray:
     """Masks of every solution for divisors p^mc with |J| <= max_cardinality,
-    each once, in no particular order.  Includes the empty set (mask 0).
+    each once, in no particular order.  Includes the empty set (mask 0).  An
+    int64 array when some join of ``_union_masks`` made one, and otherwise a
+    list of Python ints.
 
     Raises GuardExceededError, before building them, when the masks would take
     more than ENUMERATION_GUARD bits, and ValueError on a negative cap.
@@ -321,7 +335,13 @@ def solution_masks(
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = ctx.N if max_cardinality is None else max_cardinality
     star = mc_star(ctx.M, mc)
-    return [m for masks in _union_masks(ctx.p, ctx.M, star.columns, cap).values() for m in masks]
+    parts = _union_masks(ctx.p, ctx.M, star.columns, cap).values()
+    # an array holds more than _ARRAY_JOIN_MIN masks, so a shorter total is lists
+    if sum(map(len, parts)) <= _ARRAY_JOIN_MIN or all(type(m) is list for m in parts):
+        return list(itertools.chain.from_iterable(parts))
+    import numpy as np
+
+    return np.concatenate([*parts], dtype=np.int64)
 
 
 def enumerate_solutions(
@@ -337,25 +357,41 @@ def enumerate_solutions(
     yield from _index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
 
 
-def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, list[int]]:
+def _union_masks(
+    p: int, M: int, cols: tuple[int, ...], cap: int
+) -> dict[int, list[int] | np.ndarray]:
     """Masks of the disjoint unions of conforming blocks with pivot set ``cols``
     over Z_{p^M} with at most ``cap`` members, keyed by member count.
 
     The split of ``is_solution`` in reverse, from the highest digit down: the
     unions on a residue class are the products of its p fibers' unions, each
-    shifted into place, with equal fiber sizes at a pivot column.
+    shifted into place, with equal fiber sizes at a pivot column.  A join of
+    more than _ARRAY_JOIN_MIN masks, and so any join with an array, is one
+    int64 outer OR up to 62 bits; smaller joins, and all past 62 bits, are
+    lists of Python ints.
     """
     N = p**M
     built = 0
+    # until more masks than this are built, no join reaches the guard or the cut
+    unchecked = min(ENUMERATION_GUARD // N, _ARRAY_JOIN_MIN)
 
-    def join(masks: list[int], fiber: list[int], shift: int) -> list[int]:
+    def join(
+        masks: list[int] | np.ndarray, fiber: list[int] | np.ndarray, shift: int
+    ) -> list[int] | np.ndarray:
         nonlocal built
-        built += len(masks) * len(fiber)
-        if built * N > ENUMERATION_GUARD:
-            raise GuardExceededError(
-                f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
-                "lower max_cardinality or impose more divisors"
-            )
+        count = len(masks) * len(fiber)
+        built += count
+        if built > unchecked:
+            if built * N > ENUMERATION_GUARD:
+                raise GuardExceededError(
+                    f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
+                    "lower max_cardinality or impose more divisors"
+                )
+            if count > _ARRAY_JOIN_MIN and N <= 62:
+                import numpy as np
+
+                masks, fiber = np.asarray(masks, np.int64), np.asarray(fiber, np.int64)
+                return (masks[:, None] | fiber << shift).ravel()
         shifted = [x << shift for x in fiber]
         return [m | x for m in masks for x in shifted]
 
@@ -374,11 +410,22 @@ def _union_masks(p: int, M: int, cols: tuple[int, ...], cap: int) -> dict[int, l
         else:
             joined = {0: [0]}
             for shift in shifts:
-                grown: dict[int, list[int]] = {}
+                grown: dict[int, list[int] | np.ndarray] = {}
                 for s, masks in joined.items():
                     for t, fiber in by_size.items():
                         if s + t <= cap:
-                            grown.setdefault(s + t, []).extend(join(masks, fiber, shift))
+                            # a first part is kept as it is; a list extends a
+                            # list, and an array joins by concatenation
+                            part = join(masks, fiber, shift)
+                            have = grown.setdefault(s + t, part)
+                            if have is part:
+                                continue
+                            if type(have) is list is type(part):
+                                have.extend(part)
+                            else:
+                                import numpy as np
+
+                                grown[s + t] = np.concatenate((have, part), dtype=np.int64)
                 joined = grown
         by_size = joined
     return by_size

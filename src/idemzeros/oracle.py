@@ -22,10 +22,12 @@ and one match, ``_fingerprint_match``, pairs the fingerprints of two half
 tables, for this search and for the Fuglede class scan alike.  No structural
 theorem prunes the search, so results stay independent of the enumeration
 machinery they validate; the digit tables enter only
-``compare_with_theorem``, as the side it checks.  One guard, with no
-override, refuses before any work a search of more than SEARCH_GUARD
-subsets, as many as the full search at N = 24 tests; ``compare_with_theorem``
-checks it before it expands its divisors into indices.
+``compare_with_theorem``, as the side it checks, whose masks (an int64 array
+for a long listing up to 62 bits, else a list) it sorts as one array.  One
+guard, with no override, refuses before any work a search of more than
+SEARCH_GUARD subsets, as many as the full search at N = 24 tests;
+``compare_with_theorem`` checks it before it expands its divisors into
+indices.
 """
 
 from __future__ import annotations
@@ -341,8 +343,8 @@ def compare_with_theorem(
     search_cap = _search_cap(ctx.N, cap)
     zeros = expand_zero_spec(spec)
     oracle_side = _search(ctx.N, zeros.members, "vanish-at-least", search_cap)
-    masks = solution_masks(ctx, mc, cap)
-    theorem_side = np.fromiter(masks, dtype=oracle_side.dtype, count=len(masks))
+    # an int64 array is fresh from solution_masks and is sorted in place
+    theorem_side = np.asarray(solution_masks(ctx, mc, cap), dtype=oracle_side.dtype)
     theorem_side.sort()
     only_oracle = only_theorem = ()
     # both sides ascending; only a difference becomes Python ints and index sets

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from idemzeros import digit_tables
 from idemzeros.digit_tables import (
     ConformingTable,
     DigitTable,
@@ -170,15 +172,20 @@ def test_is_solution_certificate():
 
 def test_certificate_blocks_equal_validated_rebuild():
     rng = random.Random(67)
+    arrays = 0
     for N, cap in ((9, None), (16, None), (27, 6)):
         ctx = ModulusContext.of(N)
         for mc in _pivot_sets(ctx.M):
             masks = solution_masks(ctx, mc, cap)
+            arrays += isinstance(masks, np.ndarray)
+            # the same masks, in the same order, as Python ints
+            masks = list(map(int, masks))
             for mask in rng.sample(masks, min(len(masks), 200)):
                 J = IndexSet.from_mask(N, mask)
                 for block in is_solution(ctx, J, mc).certificate:
                     assert isinstance(block.members, tuple)
                     assert block == IndexSet(N, list(block.members))
+    assert arrays == 9
     with pytest.raises(ModulusMismatchError):
         is_solution(ModulusContext.of(9), IndexSet(27, (0, 9, 18)), PivotSet.of(()))
 
@@ -298,11 +305,72 @@ def test_is_solution_with_far_apart_pivots():
     ]
 
 
-def test_enumeration_guard():
-    with pytest.raises(GuardExceededError):
-        next(enumerate_solutions(ModulusContext.of(32), PivotSet.of(())))
-    with pytest.raises(GuardExceededError):
-        next(enumerate_solutions(ModulusContext.of(243), PivotSet.of([4]), 3))
+def test_enumeration_guard(monkeypatch):
+    # the refusing join raises before it builds anything: every array joined
+    # before it fits in the guard, and past 62 bits no join is an array
+    lengths = []
+    asarray = np.asarray
+
+    def recorded(a, *args, **kwargs):
+        lengths.append(len(a))
+        return asarray(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "asarray", recorded)
+    for N, mc, cap, arrays in ((32, (), None, True), (243, (4,), 3, False)):
+        lengths.clear()
+        with pytest.raises(GuardExceededError) as refused:
+            next(enumerate_solutions(ModulusContext.of(N), PivotSet.of(mc), cap))
+        assert str(refused.value) == (
+            f"enumeration needs more than {digit_tables.ENUMERATION_GUARD // N} masks of "
+            f"{N} bits; lower max_cardinality or impose more divisors"
+        )
+        # join converts its two operands in turn
+        joined = [a * b for a, b in zip(lengths[::2], lengths[1::2])]
+        assert bool(joined) == arrays
+        assert sum(joined) * N <= digit_tables.ENUMERATION_GUARD
+
+
+def _list_union_masks(monkeypatch, p, M, cols, cap):
+    """``_union_masks`` with every join on the list route."""
+    with monkeypatch.context() as m:
+        m.setattr(digit_tables, "_ARRAY_JOIN_MIN", digit_tables.ENUMERATION_GUARD)
+        return digit_tables._union_masks(p, M, cols, cap)
+
+
+def test_array_joins_equal_list_joins(monkeypatch):
+    # every join a list is the reference; a cut of 0 makes every join up to
+    # 62 bits an array, 37 splits them, and the default cut is what runs
+    default = digit_tables._ARRAY_JOIN_MIN
+    grid = [(N, None) for N in (4, 8, 9, 16)] + [(25, 6), (27, 6), (32, 4), (64, 3), (81, 3)]
+    for N, cap in grid:
+        ctx = ModulusContext.of(N)
+        for mc in _pivot_sets(ctx.M):
+            cols, limit = mc_star(ctx.M, mc).columns, ctx.N if cap is None else cap
+            expected = _list_union_masks(monkeypatch, ctx.p, ctx.M, cols, limit)
+            assert all(type(masks) is list for masks in expected.values())
+            flat = [m for masks in expected.values() for m in masks]
+            for cut in (0, 37, default):
+                monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", cut)
+                got = digit_tables._union_masks(ctx.p, ctx.M, cols, limit)
+                assert list(got) == list(expected), (N, mc, cut)
+                for size, masks in got.items():
+                    assert list(map(int, masks)) == expected[size], (N, mc, cut, size)
+                    if isinstance(masks, np.ndarray):
+                        assert N <= 62 and masks.dtype == np.int64 and len(masks) > cut
+                    elif N <= 62 and cut == 0:
+                        assert masks == [size], (N, mc, size)
+                masks = solution_masks(ctx, mc, cap)
+                assert list(map(int, masks)) == flat, (N, mc, cut)
+                made = any(isinstance(part, np.ndarray) for part in got.values())
+                assert isinstance(masks, np.ndarray) == made, (N, mc, cut)
+    # the listing past the cut, at the moduli where the arrays are largest
+    for N, mc in ((16, ()), (25, ()), (25, (1,)), (27, ()), (27, (2,)), (64, ()), (81, (3,))):
+        ctx, pivots = ModulusContext.of(N), PivotSet.of(mc)
+        cap = None if N == 16 else 3 if N > 62 else 6
+        monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", default)
+        got = [J.members for J in enumerate_solutions(ctx, pivots, cap)]
+        monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", digit_tables.ENUMERATION_GUARD)
+        assert got == [J.members for J in enumerate_solutions(ctx, pivots, cap)], (N, mc)
 
 
 def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:

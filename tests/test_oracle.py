@@ -397,13 +397,12 @@ def test_compare_with_theorem_reports_differences(monkeypatch):
     added = [0b10, 0b101]
     assert all(m in true_masks for m in dropped)
     assert not any(m in true_masks for m in added)
-    monkeypatch.setattr(
-        oracle,
-        "solution_masks",
-        lambda *args: [m for m in true_masks if m not in dropped] + added,
-    )
-    report = compare_with_theorem(ctx, mc)
-    assert not report.passed
-    assert report.oracle_count == report.theorem_count == len(true_masks)
-    assert report.only_oracle == (IndexSet(8, (0, 1)), IndexSet(8, (6, 7)))
-    assert report.only_theorem == (IndexSet(8, (0, 2)), IndexSet(8, (1,)))
+    theorem_side = [m for m in true_masks if m not in dropped] + added
+    # the theorem side as a list, and as the int64 array of a listing past the cut
+    for masks in (theorem_side, np.array(theorem_side, dtype=np.int64)):
+        monkeypatch.setattr(oracle, "solution_masks", lambda *args: masks)
+        report = compare_with_theorem(ctx, mc)
+        assert not report.passed
+        assert report.oracle_count == report.theorem_count == len(true_masks)
+        assert report.only_oracle == (IndexSet(8, (0, 1)), IndexSet(8, (6, 7)))
+        assert report.only_theorem == (IndexSet(8, (0, 2)), IndexSet(8, (1,)))

@@ -89,7 +89,9 @@ def design_by_listing(F: FragmentSet, N: int) -> IndexSet:
     cols = mc_star(ctx.M, mc).columns
     for size in range(len(F.fragments), N + 1):
         if size % ctx.p ** len(mc) == 0:
-            if masks := _union_masks(ctx.p, ctx.M, cols, size).get(size):
+            # a list or, past the join cut, an int64 array
+            masks = _union_masks(ctx.p, ctx.M, cols, size).get(size, [])
+            if len(masks):
                 return next(_index_sets(N, masks))
 
 

@@ -143,6 +143,23 @@ def test_from_mask_matches_validated_constructor():
     assert s == IndexSet(4, (1, 2))
 
 
+def test_wide_mask_decoding_equals_the_bit_loop():
+    # the to_bytes route against the shift per byte and against the bits of
+    # the mask's binary string, for sparse, dense and gapped masks
+    rng = random.Random(97)
+    for N in (63, 64, 1000, 20000):
+        tables = zn_core._byte_tables(N)
+        masks = [0, 1, (1 << N) - 1, 1 << (N - 1), rng.getrandbits(N)]
+        masks += [sum(1 << i for i in rng.sample(range(N), 3)) for _ in range(3)]
+        masks += [rng.getrandbits(8) | rng.getrandbits(8) << (N - 8)]
+        for mask in masks:
+            expected = tuple(i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+            assert zn_core._wide_mask_members(mask, tables) == expected, N
+            assert zn_core._mask_members(mask, tables) == expected, N
+            assert IndexSet.from_mask(N, mask).members == expected, N
+            assert [J.members for J in _index_sets(N, [mask])] == [expected], N
+
+
 def test_index_sets_hold_no_instance_dict():
     # slotted: a set holds its two fields and no per-instance dict, whether
     # built with validation or by the unchecked constructor, and the two
