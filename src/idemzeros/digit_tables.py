@@ -335,13 +335,13 @@ def solution_masks(
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = ctx.N if max_cardinality is None else max_cardinality
     star = mc_star(ctx.M, mc)
-    parts = _union_masks(ctx.p, ctx.M, star.columns, cap).values()
-    # an array holds more than _ARRAY_JOIN_MIN masks, so a shorter total is lists
-    if sum(map(len, parts)) <= _ARRAY_JOIN_MIN or all(type(m) is list for m in parts):
-        return list(itertools.chain.from_iterable(parts))
+    # every size has its list, or every size its array; size 0 is always there
+    parts = list(_union_masks(ctx.p, ctx.M, star.columns, cap).values())
+    if type(parts[0]) is list:
+        return [m for masks in parts for m in masks]
     import numpy as np
 
-    return np.concatenate([*parts], dtype=np.int64)
+    return np.concatenate(parts)
 
 
 def enumerate_solutions(
@@ -368,17 +368,19 @@ def _union_masks(
     shifted into place, with equal fiber sizes at a pivot column.  A join of
     more than _ARRAY_JOIN_MIN masks, and so any join with an array, is one
     int64 outer OR up to 62 bits; smaller joins, and all past 62 bits, are
-    lists of Python ints.
+    lists of Python ints.  Once a join made an array, every size's masks are
+    returned as an int64 array.
     """
     N = p**M
     built = 0
+    arrays = False
     # until more masks than this are built, no join reaches the guard or the cut
     unchecked = min(ENUMERATION_GUARD // N, _ARRAY_JOIN_MIN)
 
     def join(
         masks: list[int] | np.ndarray, fiber: list[int] | np.ndarray, shift: int
     ) -> list[int] | np.ndarray:
-        nonlocal built
+        nonlocal built, arrays
         count = len(masks) * len(fiber)
         built += count
         if built > unchecked:
@@ -390,6 +392,7 @@ def _union_masks(
             if count > _ARRAY_JOIN_MIN and N <= 62:
                 import numpy as np
 
+                arrays = True
                 masks, fiber = np.asarray(masks, np.int64), np.asarray(fiber, np.int64)
                 return (masks[:, None] | fiber << shift).ravel()
         shifted = [x << shift for x in fiber]
@@ -428,4 +431,8 @@ def _union_masks(
                                 grown[s + t] = np.concatenate((have, part), dtype=np.int64)
                 joined = grown
         by_size = joined
+    if arrays:
+        import numpy as np
+
+        return {s: np.asarray(masks, np.int64) for s, masks in by_size.items()}
     return by_size

@@ -355,13 +355,17 @@ def test_array_joins_equal_list_joins(monkeypatch):
                 assert list(got) == list(expected), (N, mc, cut)
                 for size, masks in got.items():
                     assert list(map(int, masks)) == expected[size], (N, mc, cut, size)
-                    if isinstance(masks, np.ndarray):
-                        assert N <= 62 and masks.dtype == np.int64 and len(masks) > cut
-                    elif N <= 62 and cut == 0:
-                        assert masks == [size], (N, mc, size)
+                # all lists, or all int64 arrays once a join past the cut made one
+                made = isinstance(got[0], np.ndarray)
+                for masks in got.values():
+                    assert isinstance(masks, np.ndarray) == made, (N, mc, cut)
+                    assert not made or masks.dtype == np.int64
+                if made:
+                    assert N <= 62, (N, mc, cut)
+                elif N <= 62 and cut == 0:
+                    assert all(masks == [size] for size, masks in got.items()), (N, mc)
                 masks = solution_masks(ctx, mc, cap)
                 assert list(map(int, masks)) == flat, (N, mc, cut)
-                made = any(isinstance(part, np.ndarray) for part in got.values())
                 assert isinstance(masks, np.ndarray) == made, (N, mc, cut)
     # the listing past the cut, at the moduli where the arrays are largest
     for N, mc in ((16, ()), (25, ()), (25, (1,)), (27, ()), (27, (2,)), (64, ()), (81, (3,))):
