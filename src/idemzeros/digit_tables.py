@@ -335,13 +335,13 @@ def solution_masks(
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
     cap = ctx.N if max_cardinality is None else max_cardinality
     star = mc_star(ctx.M, mc)
+    by_size = _union_masks(ctx.p, ctx.M, star.columns, cap)
     # every size has its list, or every size its array; size 0 is always there
-    parts = list(_union_masks(ctx.p, ctx.M, star.columns, cap).values())
-    if type(parts[0]) is list:
-        return [m for masks in parts for m in masks]
+    if type(by_size[0]) is list:
+        return [m for masks in by_size.values() for m in masks]
     import numpy as np
 
-    return np.concatenate(parts)
+    return np.concatenate(list(by_size.values()))
 
 
 def enumerate_solutions(
@@ -368,14 +368,13 @@ def _union_masks(
     shifted into place, with equal fiber sizes at a pivot column.  A join of
     more than _ARRAY_JOIN_MIN masks, and so any join with an array, is one
     int64 outer OR up to 62 bits; smaller joins, and all past 62 bits, are
-    lists of Python ints.  Once a join made an array, every size's masks are
-    returned as an int64 array.
+    lists of Python ints.  The parts of a size that has an array part are
+    joined by one concatenation per shift.  Once a join made an array, every
+    size's masks are returned as an int64 array.
     """
     N = p**M
     built = 0
     arrays = False
-    # until more masks than this are built, no join reaches the guard or the cut
-    unchecked = min(ENUMERATION_GUARD // N, _ARRAY_JOIN_MIN)
 
     def join(
         masks: list[int] | np.ndarray, fiber: list[int] | np.ndarray, shift: int
@@ -383,18 +382,17 @@ def _union_masks(
         nonlocal built, arrays
         count = len(masks) * len(fiber)
         built += count
-        if built > unchecked:
-            if built * N > ENUMERATION_GUARD:
-                raise GuardExceededError(
-                    f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
-                    "lower max_cardinality or impose more divisors"
-                )
-            if count > _ARRAY_JOIN_MIN and N <= 62:
-                import numpy as np
+        if built * N > ENUMERATION_GUARD:
+            raise GuardExceededError(
+                f"enumeration needs more than {ENUMERATION_GUARD // N} masks of {N} bits; "
+                "lower max_cardinality or impose more divisors"
+            )
+        if count > _ARRAY_JOIN_MIN and N <= 62:
+            import numpy as np
 
-                arrays = True
-                masks, fiber = np.asarray(masks, np.int64), np.asarray(fiber, np.int64)
-                return (masks[:, None] | fiber << shift).ravel()
+            arrays = True
+            masks, fiber = np.asarray(masks, np.int64), np.asarray(fiber, np.int64)
+            return (masks[:, None] | fiber << shift).ravel()
         shifted = [x << shift for x in fiber]
         return [m | x for m in masks for x in shifted]
 
@@ -413,23 +411,30 @@ def _union_masks(
         else:
             joined = {0: [0]}
             for shift in shifts:
-                grown: dict[int, list[int] | np.ndarray] = {}
+                grown: dict[int, list[int] | np.ndarray | tuple] = {}
                 for s, masks in joined.items():
                     for t, fiber in by_size.items():
                         if s + t <= cap:
-                            # a first part is kept as it is; a list extends a
-                            # list, and an array joins by concatenation
+                            # a first part is kept as it is and a list extends
+                            # a list; with an array, a tuple gathers the parts
                             part = join(masks, fiber, shift)
                             have = grown.setdefault(s + t, part)
                             if have is part:
                                 continue
                             if type(have) is list is type(part):
                                 have.extend(part)
+                            elif type(have) is tuple:
+                                grown[s + t] = (*have, part)
                             else:
-                                import numpy as np
-
-                                grown[s + t] = np.concatenate((have, part), dtype=np.int64)
+                                grown[s + t] = (have, part)
                 joined = grown
+                if arrays:
+                    import numpy as np
+
+                    # each size's gathered parts are joined once, in order
+                    for s, masks in joined.items():
+                        if type(masks) is tuple:
+                            joined[s] = np.concatenate(masks, dtype=np.int64)
         by_size = joined
     if arrays:
         import numpy as np

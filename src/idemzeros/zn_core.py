@@ -315,23 +315,19 @@ def _index_sets(
         masks = np.fromiter(masks, np.int64, len(masks))
     masks = masks[np.argsort(_lex_ranks(modulus, masks))]
     h = (modulus + 1) // 2
-    # member order scatters the high halves over every chunk, so past one
-    # chunk each is decoded once per listing and kept; the low halves come in
-    # runs.  A listing of one chunk skips the lookups, 40 ns per high half.
-    decoded: dict[int, tuple[int, ...]] | None = {} if len(masks) > _YIELD_CHUNK else None
+    # member order scatters the high halves over every chunk, so each is
+    # decoded once per listing and kept; the low halves come in runs
+    decoded: dict[int, tuple[int, ...]] = {}
     new, set_modulus, set_members = object.__new__, _set_modulus, _set_members
     for start in range(0, len(masks), _YIELD_CHUNK):
         chunk = masks[start : start + _YIELD_CHUNK]
         lows, low_ids = np.unique(chunk & ((1 << h) - 1), return_inverse=True)
         highs, high_ids = np.unique(chunk >> h, return_inverse=True)
         low = [_mask_members(m, tables) for m in lows.tolist()]
-        if decoded is None:
-            high = [_mask_members(m << h, tables) for m in highs.tolist()]
-        else:
-            high = [
-                decoded[m] if m in decoded else decoded.setdefault(m, _mask_members(m << h, tables))
-                for m in highs.tolist()
-            ]
+        high = [
+            decoded[m] if m in decoded else decoded.setdefault(m, _mask_members(m << h, tables))
+            for m in highs.tolist()
+        ]
         # One set per step, not a chunk's worth at once: a batch of
         # thousands of new objects sets off full GC collections that walk
         # every tuple the caller holds.
