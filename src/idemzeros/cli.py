@@ -201,7 +201,7 @@ def _fuglede_spectral(args) -> None:
     from .fuglede import is_spectral
 
     result = is_spectral(J)
-    witness = list(result.witness.members) if result.witness else None
+    witness = None if result.witness is None else list(result.witness.members)
     _emit({"spectral": result.spectral, "witness": witness}, args.format)
 
 

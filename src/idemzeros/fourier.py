@@ -3,7 +3,8 @@
 Convention: the forward transform carries no 1/N factor, the inverse does.
 An idempotent built from a spectrum indicator set J therefore satisfies
 h(0) = |J|/N.  ``dft`` and ``idft`` are numpy's FFT and inverse FFT, which
-follow it, so no N x N matrix is built, and h's values are one ``idft``.
+follow it, so no N x N matrix is built, and h's values are one inverse FFT
+of J's indicator array.
 Zero sets are exact by default: h_J vanishes on the gcd class of a divisor
 d iff the N/d-th cyclotomic polynomial divides the sum of x^(j mod N/d) over
 J, which ``_zero_divisors`` decides by difference operators in Python ints.
@@ -70,9 +71,12 @@ class Idempotent:
         ) / N
 
     def time_domain(self) -> Signal:
-        """h at every n: one inverse FFT of the indicator of J."""
-        J = set(self.spectrum)
-        return idft(Signal.of(n in J for n in range(self.modulus)))
+        """h at every n: one inverse FFT of J's indicator array."""
+        import numpy as np
+
+        indicator = np.zeros(self.modulus, dtype=complex)
+        indicator[list(self.spectrum.members)] = 1
+        return Signal(self.modulus, tuple(np.fft.ifft(indicator).tolist()))
 
 
 @dataclass(frozen=True)

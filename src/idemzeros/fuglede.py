@@ -39,7 +39,8 @@ At N = p^M, ``is_spectral`` needs neither the zero set nor a search: J is
 spectral iff |J| = p^k, where k counts the p^j | N with Phi_{p^j} | J(x)
 (Coven and Meyerowitz's T1; Laba), so a size that is no power of p decides
 it at once, and the witness is explicit.  At any
-other N it runs a backtracking clique search over the zero set, which
+other N it reads the zero set into one mask and searches it for a row set, in
+ascending order on candidate masks, as the partner search does; the search
 refuses, with GuardExceededError, to visit more than CLIQUE_GUARD nodes.  The
 report always searches, and checks each class's verdict against T1 and T2
 read off the class's divisor flags, so the theorems and the search check
@@ -248,19 +249,19 @@ class SpectralResult:
     witness: IndexSet | None
 
 
-def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | None:
-    """A size-element subset of Z_N containing 0 whose pairwise differences all
-    lie in ``zeros``, or None.  Plain backtracking, depth first on an explicit
-    stack, so a clique of any size needs no recursion; a search that visits
-    more than CLIQUE_GUARD nodes raises GuardExceededError."""
-    nodes = 0
+def _difference_clique(N: int, zero_mask: int, size: int) -> tuple[int, ...] | None:
+    """The lexicographically least size-element subset of Z_N holding 0 whose
+    pairwise differences are all bits of ``zero_mask``, or None.  Rows are
+    added in ascending order, depth first on a stack of candidate masks; a
+    row v keeps the later candidates in ``zero_mask << v``, and a node whose
+    clique and candidates fall short of ``size`` is not entered.  A search
+    that visits more than CLIQUE_GUARD nodes raises GuardExceededError."""
     clique: list[int] = []
-    # the candidates of each open node, and the index of the next to try
-    stack: list[list] = []
-
-    def visit(v: int, cands: list[int]) -> bool:
-        """Enter the node clique + [v]; True when it is a whole clique."""
-        nonlocal nodes
+    # the candidates not yet tried at each open node, deepest last
+    stack: list[int] = []
+    nodes = 0
+    v, cands = 0, zero_mask & ~1
+    while True:
         nodes += 1
         if nodes > CLIQUE_GUARD:
             raise GuardExceededError(
@@ -269,27 +270,20 @@ def _difference_clique(N: int, zeros: set[int], size: int) -> tuple[int, ...] | 
             )
         clique.append(v)
         if len(clique) == size:
-            return True
-        if len(clique) + len(cands) < size:
+            return tuple(clique)
+        if len(clique) + cands.bit_count() < size:
             clique.pop()
         else:
-            stack.append([cands, 0])
-        return False
-
-    if visit(0, sorted(z for z in zeros if z != 0)):
-        return tuple(clique)
-    while stack:
-        top = stack[-1]
-        cands, i = top
-        if i == len(cands):
+            stack.append(cands)
+        while stack and not stack[-1]:
             stack.pop()
             clique.pop()
-            continue
-        top[1] = i + 1
-        v = cands[i]
-        if visit(v, [u for u in cands[i + 1 :] if (u - v) % N in zeros]):
-            return tuple(clique)
-    return None
+        if not stack:
+            return None
+        low = stack[-1] & -stack[-1]
+        stack[-1] ^= low
+        v = low.bit_length() - 1
+        cands = stack[-1] & zero_mask << v
 
 
 def _is_witness(J: IndexSet, rows) -> bool:
@@ -331,10 +325,11 @@ def _verified_witness(J: IndexSet, rows) -> IndexSet:
 
 
 def _spectral_witness(J: IndexSet, zeros) -> IndexSet | None:
-    """A row set making the DFT submatrix on columns J unitary up to scaling,
-    found among the differences in ``zeros``, the zero set of h_J; None when
-    there is none.  A witness that fails ``_is_witness`` raises AssertionError."""
-    rows = _difference_clique(J.modulus, set(zeros), len(J))
+    """The least row set holding 0 that makes the DFT submatrix on columns J
+    unitary up to scaling, searched on ``zeros``, the zero set of h_J, read
+    into one mask; None when there is none.  A witness that fails
+    ``_is_witness`` raises AssertionError."""
+    rows = _difference_clique(J.modulus, sum(1 << z for z in zeros), len(J))
     return None if rows is None else _verified_witness(J, rows)
 
 

@@ -136,6 +136,13 @@ def test_fuglede_commands():
     assert json.loads(proc.stdout)["disagreements"] == 0
 
 
+def test_fuglede_spectral_prints_the_empty_witness(capsys):
+    # the empty set is spectral with the empty row set, which is falsy but
+    # no missing witness
+    assert main(["fuglede", "spectral", "--N", "4", "--J", ""]) == 0
+    assert capsys.readouterr().out == '{"spectral": true, "witness": []}\n'
+
+
 def test_bracelet_commands():
     proc = run_cli("bracelet", "rep", "--N", "8", "--set", "0,5")
     assert json.loads(proc.stdout) == {"N": 8, "members": [0, 3]}

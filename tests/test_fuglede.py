@@ -399,7 +399,7 @@ def test_witness_test_matches_the_gram_reference_on_random_rows():
         J = IndexSet.of(N, rng.sample(range(N), rng.randint(1, min(N, 8))))
         rows = rng.sample(range(N), len(J))
         if rng.random() < 0.4:
-            zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
+            zeros = zero_set(idempotent_from_spectrum(J)).zero_set.mask
             rows = list(fuglede._difference_clique(N, zeros, len(J)) or rows)
         if len(rows) > 1 and rng.random() < 0.1:
             rows[-1] = rows[0]
@@ -435,7 +435,7 @@ def test_witness_test_matches_the_gram_reference_on_t1_witnesses(N):
 
 def test_report_witnesses_pass_the_witness_test(monkeypatch):
     # a row set whose DFT submatrix is not unitary must not become a witness
-    monkeypatch.setattr(fuglede, "_difference_clique", lambda N, zeros, size: tuple(range(size)))
+    monkeypatch.setattr(fuglede, "_difference_clique", lambda N, zero_mask, size: tuple(range(size)))
     with pytest.raises(AssertionError, match="failed the witness test"):
         fuglede_report(ModulusContext.of(8))
 
@@ -506,12 +506,45 @@ def test_spectral_at_composite_moduli_matches_the_zero_set_search():
         for _ in range(4):
             d = rng.choice([d for d in range(1, N + 1) if N % d == 0 and d <= 12])
             J = IndexSet.of(N, rng.sample(range(N), rng.choice([d, rng.randint(1, 6)])))
-            zeros = set(zero_set(idempotent_from_spectrum(J)).zero_set.members)
+            zeros = zero_set(idempotent_from_spectrum(J)).zero_set.mask
             rows = fuglede._difference_clique(N, zeros, len(J))
             expected = fuglede.SpectralResult(rows is not None, rows and IndexSet(N, rows))
             assert is_spectral(J) == expected, (N, J.members)
             spectral += expected.spectral
     assert 40 < spectral < len(composite) * 4 - 40
+
+
+def least_clique_by_brute_force(zeros: tuple[int, ...], size: int) -> tuple[int, ...] | None:
+    """The first size-element set holding 0, in lexicographic order, whose
+    differences all lie in ``zeros``; its other members are zeros, as
+    differences with 0."""
+    in_zeros = set(zeros)
+    for rest in itertools.combinations(zeros, size - 1):
+        if all(v - u in in_zeros for u, v in itertools.combinations(rest, 2)):
+            return (0, *rest)
+    return None
+
+
+def test_clique_search_finds_the_least_clique():
+    # the CLI prints the search's rows, so they must be the least clique,
+    # not merely some clique; differences of ascending members u < v < N
+    # are v - u, with no reduction mod N
+    rng = random.Random(33)
+    cases = [IndexSet.from_mask(12, mask) for mask in range(1, 1 << 12)]
+    for N in (18, 20, 24):
+        sizes = [d for d in range(2, 9) if N % d == 0] + [rng.randint(2, 8) for _ in range(4)]
+        cases += [IndexSet.of(N, rng.sample(range(N), size)) for size in sizes for _ in range(6)]
+        cases += [coset_union(rng, N) for _ in range(12)]
+    expected = {}
+    found = 0
+    for J in cases:
+        N, zeros = J.modulus, zero_set(idempotent_from_spectrum(J)).zero_set
+        key = (N, zeros.members, len(J))
+        if key not in expected:
+            expected[key] = least_clique_by_brute_force(zeros.members, len(J))
+        assert fuglede._difference_clique(N, zeros.mask, len(J)) == expected[key], (N, J.members)
+        found += expected[key] is not None
+    assert 0 < found < len(cases)
 
 
 def test_spectral_by_t1_agrees_with_the_search_on_every_small_subset():
