@@ -517,7 +517,8 @@ def test_spectral_at_composite_moduli_matches_the_zero_set_search():
 def least_clique_by_brute_force(zeros: tuple[int, ...], size: int) -> tuple[int, ...] | None:
     """The first size-element set holding 0, in lexicographic order, whose
     differences all lie in ``zeros``; its other members are zeros, as
-    differences with 0."""
+    differences with 0, and two of them u < v differ by v - u, which needs no
+    reduction mod N."""
     in_zeros = set(zeros)
     for rest in itertools.combinations(zeros, size - 1):
         if all(v - u in in_zeros for u, v in itertools.combinations(rest, 2)):
@@ -527,8 +528,7 @@ def least_clique_by_brute_force(zeros: tuple[int, ...], size: int) -> tuple[int,
 
 def test_clique_search_finds_the_least_clique():
     # the CLI prints the search's rows, so they must be the least clique,
-    # not merely some clique; differences of ascending members u < v < N
-    # are v - u, with no reduction mod N
+    # not merely some clique
     rng = random.Random(33)
     cases = [IndexSet.from_mask(12, mask) for mask in range(1, 1 << 12)]
     for N in (18, 20, 24):
