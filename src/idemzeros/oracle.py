@@ -32,6 +32,7 @@ indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -40,7 +41,7 @@ import numpy as np
 
 from .cyclotomic import power_residue_matrix
 from .digit_tables import PivotSet, solution_masks
-from .errors import GuardExceededError
+from .errors import GuardExceededError, ModulusMismatchError
 from .zn_core import (
     DivisorSpec,
     IndexSet,
@@ -247,17 +248,26 @@ def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
     """Ascending masks of the subsets with at most ``cap`` members and the
-    prescribed zeros; read-only, since the cache shares them.  The least zero
-    comes from ``_vanishing``; every other zero, and in exact mode every other
-    index, is tested on its survivors."""
-    rest = sorted(zeros)
-    masks = _vanishing(N, cap, rest.pop(0)) if rest else _subset_masks(N, cap)
-    for n in rest:
+    prescribed zeros; read-only, since the cache shares them.
+
+    A sum of N-th roots vanishes at n iff it vanishes at u*n for every unit u,
+    since J(w^(u*n)) is the image of J(w^n) under the field automorphism
+    w -> w^u; so one index is tested per gcd class: its least prescribed
+    zero, else its divisor d (0 for the class of N).  The least zero comes
+    from ``_vanishing``; each other class that meets the zeros is tested on
+    its survivors, and in exact mode each class that meets the other indices
+    must not vanish.  A class that a prescribed set splits is both, so
+    nothing survives it."""
+    tested = {math.gcd(n, N): n for n in sorted(zeros, reverse=True)}
+    required = sorted(tested.values())
+    masks = _vanishing(N, cap, required.pop(0)) if required else _subset_masks(N, cap)
+    for n in required:
         masks = masks[_vanishes(N, masks, n)]
     if mode == "exact-zero-set":
-        for n in range(N):
-            if n not in zeros:
-                masks = masks[~_vanishes(N, masks, n)]
+        zero_set = set(zeros)
+        forbidden = {math.gcd(n, N) for n in range(N) if n not in zero_set}
+        for d in sorted(forbidden):
+            masks = masks[~_vanishes(N, masks, tested.get(d, d % N))]
     masks.setflags(write=False)
     return masks
 
@@ -311,6 +321,8 @@ def brute_force_solutions(
 ) -> list[IndexSet]:
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
     the prescribed zero set (mode exact-zero-set), lexicographic order."""
+    if zeros.modulus != N:
+        raise ModulusMismatchError(f"zero set modulus {zeros.modulus} != N={N}")
     masks = _solution_masks(N, zeros.members, mode, max_cardinality)
     return list(_index_sets(N, masks))
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import time
 from math import comb
@@ -10,7 +11,7 @@ import pytest
 from idemzeros import cli, oracle, zn_core
 from idemzeros.cyclotomic import is_zero, power_residue_matrix, root_sum
 from idemzeros.digit_tables import PivotSet, solution_masks
-from idemzeros.errors import GuardExceededError
+from idemzeros.errors import GuardExceededError, ModulusMismatchError
 from idemzeros.fourier import idempotent_from_spectrum, zero_set
 from idemzeros.oracle import brute_force_solutions, compare_with_theorem
 from idemzeros.sampling import FragmentSet, design_pattern
@@ -157,18 +158,20 @@ def test_vanishes_without_fingerprints(monkeypatch):
             assert np.array_equal(got, dense_vanishes(N, masks, n)), (N, n)
 
 
+def unshared(N, zeros, mode, cap):
+    """Reference: the full subset table filtered index by index."""
+    masks = oracle._subset_masks(N, cap)
+    for n in range(N):
+        if n in zeros:
+            masks = masks[oracle._vanishes(N, masks, n)]
+        elif mode == "exact-zero-set":
+            masks = masks[~oracle._vanishes(N, masks, n)]
+    return masks
+
+
 def test_search_shares_first_zero_filter():
     # every grid search for one modulus, in both call orders and both modes,
     # equals a search that filters the full subset table zero by zero
-    def unshared(N, zeros, mode, cap):
-        masks = oracle._subset_masks(N, cap)
-        for n in range(N):
-            if n in zeros:
-                masks = masks[oracle._vanishes(N, masks, n)]
-            elif mode == "exact-zero-set":
-                masks = masks[~oracle._vanishes(N, masks, n)]
-        return masks
-
     # at N = 16 both halves are the table of 8 positions; at N = 27 they are
     # those of 16 and 11 positions, and the zero-less search adds the table
     # of all N positions
@@ -198,6 +201,76 @@ def test_search_shares_first_zero_filter():
                 assert oracle._subset_masks.cache_info().misses == tables
                 for n in least:
                     assert not oracle._vanishing(N, cap, n).flags.writeable
+
+
+def test_vanish_flags_are_constant_on_gcd_classes():
+    # J(w^(u*n)) is the image of J(w^n) under the automorphism w -> w^u, so on
+    # the oracle's own residues every index of a gcd class gives the same flags
+    for N in range(1, 17):
+        masks = oracle._subset_masks(N, N)
+        first = {}
+        for n in range(N):
+            flags = oracle._vanishes(N, masks, n)
+            assert np.array_equal(flags, first.setdefault(math.gcd(n, N), flags)), (N, n)
+
+
+def gcd_closure(N, zeros):
+    """The union of the gcd classes that meet ``zeros``."""
+    classes = {math.gcd(n, N) for n in zeros}
+    return tuple(n for n in range(N) if math.gcd(n, N) in classes)
+
+
+def test_search_matches_the_per_index_filter_on_any_zero_set():
+    # seeded zero sets: random ones, unions of gcd classes, and such unions
+    # with one index added or dropped, so that they split a class
+    rng = random.Random(3401)
+    nonempty = 0
+    for N, cap in ((12, 12), (16, 8), (18, 6), (20, 5)):
+        classes = [gcd_closure(N, [d]) for d in (*zn_core.proper_divisors(N), 0)]
+        zero_sets = {(), tuple(range(N))}
+        for _ in range(6):
+            zero_sets.add(tuple(sorted(rng.sample(range(N), rng.randint(1, N - 1)))))
+            union = set().union(*rng.sample(classes, rng.randint(1, len(classes) - 1)))
+            zero_sets.add(tuple(sorted(union)))
+            zero_sets.add(tuple(sorted(union ^ {rng.randrange(1, N)})))
+        for zeros in sorted(zero_sets):
+            closure = gcd_closure(N, zeros)
+            for mode in ("vanish-at-least", "exact-zero-set"):
+                got = oracle._search(N, zeros, mode, cap)
+                assert np.array_equal(got, unshared(N, zeros, mode, cap)), (N, zeros, mode)
+                if zeros != closure:
+                    # a split class is required and forbidden at once
+                    expected = () if mode == "exact-zero-set" else oracle._search(N, closure, mode, cap)
+                    assert got.tolist() == list(expected), (N, zeros, mode)
+                elif mode == "exact-zero-set":
+                    nonempty += len(got) > 0
+    assert nonempty >= 10
+
+
+def test_one_limb_table_per_tested_class():
+    # the 18 units of Z_27 are one class, tested by the meet in the middle alone
+    units = expand_zero_spec(DivisorSpec.of(27, [1])).members
+    assert len(units) == 18
+    for N, zeros, mode, tables in (
+        (27, units, "vanish-at-least", 1),
+        # at N = 20 no exact search tests more indices than 20 has divisors
+        (20, (4, 8, 12, 16), "exact-zero-set", 6),
+        (20, (3, 5, 10), "exact-zero-set", 6),
+        (20, (), "exact-zero-set", 6),
+    ):
+        oracle._search.cache_clear()
+        oracle._vanishing.cache_clear()
+        oracle._limb_tables.cache_clear()
+        oracle._search(N, zeros, mode, 4)
+        assert 0 < oracle._limb_tables.cache_info().misses <= tables, (N, zeros, mode)
+
+
+def test_zero_set_of_another_modulus_is_refused():
+    # the 9 of Z_16 is not read as the 1 of Z_8, in either mode
+    for mode in ("vanish-at-least", "exact-zero-set"):
+        with pytest.raises(ModulusMismatchError, match="zero set modulus 16 != N=8"):
+            brute_force_solutions(8, IndexSet(16, (9,)), mode)
+    assert len(brute_force_solutions(8, IndexSet(8, (1, 3, 5, 7)), "exact-zero-set")) == 8
 
 
 def test_subset_table_built_once_per_modulus_and_cap():
