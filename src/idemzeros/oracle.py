@@ -6,9 +6,12 @@ in the middle (Horowitz and Sahni, J. ACM 21, 1974): a mask splits at a limb
 boundary near N/2, the masks of each half are built by doubling, and a low
 half joins a high half iff its root sum equals the high half's negated sum.
 That pass is cached per (N, cap, zero), so searches that share their least
-zero share it; the other zeros, and for an exact zero set every other index,
-are tested on its survivors.  A search with no zeros returns the table of
-every subset as it is.  A root sum at index n is the exact residue of
+zero share it.  A root sum vanishes at n iff it vanishes at u*n for every unit
+u, as the field automorphism w -> w^u maps one to the other, so the rest is
+tested once per gcd class on its survivors: each other class that meets the
+zeros must vanish and, for an exact zero set, each class that meets the other
+indices must not.  A search with no zeros returns the table of every subset
+as it is.  A root sum at index n is the exact residue of
 sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
 subset-sum tables over fixed-width limbs of the mask, cached per (N, n) and
 built for all limbs in one doubling, in int16 when a bound on every partial
@@ -20,8 +23,9 @@ fingerprints rule pairs out, and the exact residues decide every pair and
 every mask they let through.  One reader, ``_limb_sum``, adds up the tables,
 and one match, ``_fingerprint_match``, pairs the fingerprints of two half
 tables, for this search and for the Fuglede class scan alike.  No structural
-theorem prunes the search, so results stay independent of the enumeration
-machinery they validate; the digit tables enter only
+theorem prunes the search: the step per gcd class uses only that
+automorphism, nothing from the digit tables, so results stay independent of
+the enumeration machinery they validate; the digit tables enter only
 ``compare_with_theorem``, as the side it checks, whose masks (an int64 array
 for a long listing up to 62 bits, else a list) it sorts as one array.  One
 guard, with no override, refuses before any work a search of more than
@@ -32,10 +36,9 @@ indices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -258,14 +261,14 @@ def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
     its survivors, and in exact mode each class that meets the other indices
     must not vanish.  A class that a prescribed set splits is both, so
     nothing survives it."""
-    tested = {math.gcd(n, N): n for n in sorted(zeros, reverse=True)}
+    tested = {gcd(n, N): n for n in sorted(zeros, reverse=True)}
     required = sorted(tested.values())
     masks = _vanishing(N, cap, required.pop(0)) if required else _subset_masks(N, cap)
     for n in required:
         masks = masks[_vanishes(N, masks, n)]
     if mode == "exact-zero-set":
         zero_set = set(zeros)
-        forbidden = {math.gcd(n, N) for n in range(N) if n not in zero_set}
+        forbidden = {gcd(n, N) for n in range(N) if n not in zero_set}
         for d in sorted(forbidden):
             masks = masks[~_vanishes(N, masks, tested.get(d, d % N))]
     masks.setflags(write=False)
