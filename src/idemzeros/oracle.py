@@ -267,8 +267,7 @@ def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
     for n in required:
         masks = masks[_vanishes(N, masks, n)]
     if mode == "exact-zero-set":
-        zero_set = set(zeros)
-        forbidden = {gcd(n, N) for n in range(N) if n not in zero_set}
+        forbidden = {gcd(n, N) for n in set(range(N)).difference(zeros)}
         for d in sorted(forbidden):
             masks = masks[~_vanishes(N, masks, tested.get(d, d % N))]
     masks.setflags(write=False)
@@ -323,7 +322,8 @@ def brute_force_solutions(
     max_cardinality: int | None = None,
 ) -> list[IndexSet]:
     """All J with the prescribed zeros (mode vanish-at-least) or with exactly
-    the prescribed zero set (mode exact-zero-set), lexicographic order."""
+    the prescribed zero set (mode exact-zero-set), lexicographic order.  A
+    zero set of another modulus is refused, never read modulo N."""
     if zeros.modulus != N:
         raise ModulusMismatchError(f"zero set modulus {zeros.modulus} != N={N}")
     masks = _solution_masks(N, zeros.members, mode, max_cardinality)
