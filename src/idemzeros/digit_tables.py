@@ -18,8 +18,11 @@ The test takes the columns below a pivot in one step, as residue classes, so
 it recurses once per pivot, not once per digit.  Certificates list their
 blocks by least member.  The enumerator joins the fibers' masks as lists of
 Python ints while a join makes at most _ARRAY_JOIN_MIN masks; a larger join,
-up to 62 bits, is one int64 outer OR, so a long listing reaches the oracle
-and ``zn_core`` as the array they sort, with no list of all its masks.
+up to 62 bits, is one int64 outer OR, so a long listing is an array, with no
+list of all its masks.  The masks of one (p, M, mc*, cap) are sorted once,
+into a tuple of Python ints or a read-only int64 array, and kept in a
+``zn_core._priced_cache`` of at most ENUMERATION_GUARD mask bits, so the
+oracle's comparison and repeated listings share them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,15 @@ from .errors import (
     NonPrimePowerError,
     PreconditionError,
 )
-from .zn_core import DivisorSpec, IndexSet, ModulusContext, _index_sets, valuation
+from .zn_core import (
+    ENUMERATION_GUARD,
+    DivisorSpec,
+    IndexSet,
+    ModulusContext,
+    _index_sets,
+    _priced_cache,
+    valuation,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,9 +151,11 @@ def pivot_columns(t: DigitTable) -> PivotSet:
 
 def mc_star(M: int, mc: PivotSet) -> PivotSet:
     """Reflected pivot set {M - l - 1 : l in mc}; an involution."""
-    if any(not 0 <= l < M for l in mc):
+    if mc.columns and mc.columns[-1] >= M:
         raise ValueError(f"pivot columns {mc.columns} out of range for M={M}")
-    return PivotSet.of(M - l - 1 for l in mc)
+    # the columns are ascending, distinct and >= 0, so their reflections,
+    # read backwards, are too
+    return PivotSet(tuple(M - l - 1 for l in reversed(mc.columns)))
 
 
 def least_block(p: int, places) -> list[int]:
@@ -243,9 +256,6 @@ def _generate_elements(p, M, cols, choices, prefix):
     return out
 
 
-# Mask bits (masks times N) that enumerate_solutions may build in one call.
-ENUMERATION_GUARD = 1 << 25
-
 # A join of more masks than this is one int64 outer OR.  One join from two
 # lists breaks even near 64 masks, but a fold of a few hundred masks made as
 # arrays ran slower than as lists: each array join or concatenation has a
@@ -320,28 +330,41 @@ def _split(members: list[int], p: int, cols: tuple[int, ...]) -> list[list[int]]
 
 def solution_masks(
     ctx: ModulusContext, mc: PivotSet, max_cardinality: int | None = None
-) -> list[int] | np.ndarray:
+) -> tuple[int, ...] | np.ndarray:
     """Masks of every solution for divisors p^mc with |J| <= max_cardinality,
-    each once, in no particular order.  Includes the empty set (mask 0).  An
-    int64 array when some join of ``_union_masks`` made one, and otherwise a
-    list of Python ints.
+    ascending.  Includes the empty set (mask 0).  A read-only int64 array when
+    some join of ``_union_masks`` made one, and otherwise a tuple of Python
+    ints; either is shared by every call with the same p, M, mc and cap
+    clipped to N, through a cache priced at N bits per mask.
 
-    Raises GuardExceededError, before building them, when the masks would take
-    more than ENUMERATION_GUARD bits, and ValueError on a negative cap.
+    Raises GuardExceededError when the joins would build more than
+    ENUMERATION_GUARD mask bits; the guard is charged join by join, so the
+    refusal comes once the joins before it are built.  Raises ValueError on
+    a negative cap.
     """
     if not ctx.is_prime_power:
         raise NonPrimePowerError(f"N={ctx.N} is not a prime power")
     if max_cardinality is not None and max_cardinality < 0:
         raise ValueError(f"max_cardinality must be >= 0, got {max_cardinality}")
-    cap = ctx.N if max_cardinality is None else max_cardinality
-    star = mc_star(ctx.M, mc)
-    by_size = _union_masks(ctx.p, ctx.M, star.columns, cap)
+    cap = ctx.N if max_cardinality is None else min(max_cardinality, ctx.N)
+    return _ascending_masks(ctx.p, ctx.M, mc_star(ctx.M, mc).columns, cap)
+
+
+@_priced_cache(lambda masks, p, M, cols, cap: len(masks) * p**M)
+def _ascending_masks(
+    p: int, M: int, cols: tuple[int, ...], cap: int
+) -> tuple[int, ...] | np.ndarray:
+    """The masks of ``_union_masks`` as one ascending tuple or read-only
+    int64 array, which the cache shares."""
+    by_size = _union_masks(p, M, cols, cap)
     # every size has its list, or every size its array; size 0 is always there
     if type(by_size[0]) is list:
-        return [m for masks in by_size.values() for m in masks]
+        return tuple(sorted(itertools.chain.from_iterable(by_size.values())))
     import numpy as np
 
-    return np.concatenate(list(by_size.values()))
+    masks = np.sort(np.concatenate(list(by_size.values())))
+    masks.setflags(write=False)
+    return masks
 
 
 def enumerate_solutions(
@@ -350,9 +373,10 @@ def enumerate_solutions(
     """The solutions of ``solution_masks`` as index sets, in lexicographic
     order of sorted members.  Includes the empty set.
 
-    All solution masks are built and put in order before the first one is
-    yielded, under the same guard as ``solution_masks``; each member tuple
-    and ``IndexSet`` is built only when the caller asks for the next one.
+    The masks of ``solution_masks``, built under its guard or taken from its
+    cache, are put in member order before the first set is yielded; each
+    member tuple and ``IndexSet`` is built only when the caller asks for the
+    next one.
     """
     yield from _index_sets(ctx.N, solution_masks(ctx, mc, max_cardinality))
 

@@ -26,8 +26,9 @@ tables, for this search and for the Fuglede class scan alike.  No structural
 theorem prunes the search: the step per gcd class uses only that
 automorphism, nothing from the digit tables, so results stay independent of
 the enumeration machinery they validate; the digit tables enter only
-``compare_with_theorem``, as the side it checks, whose masks (an int64 array
-for a long listing up to 62 bits, else a list) it sorts as one array.  One
+``compare_with_theorem``, as the side it checks, whose cached ascending masks
+(a read-only int64 array for a long listing up to 62 bits, else a tuple of
+Python ints) it compares with the search's as they are.  One
 guard, with no override, refuses before any work a search of more than
 SEARCH_GUARD subsets, as many as the full search at N = 24 tests;
 ``compare_with_theorem`` checks it before it expands its divisors into
@@ -54,8 +55,10 @@ from .zn_core import (
 )
 
 SEARCH_GUARD = 1 << 24
-# Python's default limit on the digits of an int it prints
+# Python's default limit on the digits of an int it prints, and the bit
+# length of 10^_PRINTABLE_DIGITS, the least int it does not print
 _PRINTABLE_DIGITS = 4300
+_UNPRINTABLE_BITS = 14285
 _CHUNK = 1 << 16
 _LIMB = 8
 
@@ -303,14 +306,18 @@ def _subset_count(N: int, cap: int) -> int | str:
     "2^N".  So the count's time is bounded by the digit limit, not by N."""
     if cap == N:
         return f"2^{N}"
-    # built per call: a module-level bound this size raised the peak RSS of
-    # processes that never count, through where it landed on the heap
-    unprintable = 10**_PRINTABLE_DIGITS
     total = term = 1
     for k in range(cap):
         term = term * (N - k) // (k + 1)  # C(N, k + 1)
         total += term
-        if total >= unprintable:
+        # a total with fewer bits than 10^_PRINTABLE_DIGITS prints and one
+        # with more never does; only one of its length builds the power, per
+        # call, as a module-level bound this size raised the peak RSS of
+        # processes that never count
+        bits = total.bit_length()
+        if bits > _UNPRINTABLE_BITS or (
+            bits == _UNPRINTABLE_BITS and total >= 10**_PRINTABLE_DIGITS
+        ):
             return f"more than 2^{(total - 1).bit_length() - 1}"
     return total
 
@@ -358,13 +365,16 @@ def compare_with_theorem(
     search_cap = _search_cap(ctx.N, cap)
     zeros = expand_zero_spec(spec)
     oracle_side = _search(ctx.N, zeros.members, "vanish-at-least", search_cap)
-    # an int64 array is fresh from solution_masks and is sorted in place
-    theorem_side = np.asarray(solution_masks(ctx, mc, cap), dtype=oracle_side.dtype)
-    theorem_side.sort()
+    theorem_side = solution_masks(ctx, mc, cap)
+    # both sides ascending; a tuple compares as Python ints, with no array
+    # made of it, and only a difference becomes index sets
+    if type(theorem_side) is tuple:
+        same = tuple(oracle_side.tolist()) == theorem_side
+    else:
+        same = np.array_equal(oracle_side, theorem_side)
     only_oracle = only_theorem = ()
-    # both sides ascending; only a difference becomes Python ints and index sets
-    if not np.array_equal(oracle_side, theorem_side):
-        o, t = set(oracle_side.tolist()), set(theorem_side.tolist())
+    if not same:
+        o, t = set(oracle_side.tolist()), set(map(int, theorem_side))
         only_oracle = tuple(_index_sets(ctx.N, o - t))
         only_theorem = tuple(_index_sets(ctx.N, t - o))
     return ComparisonReport(

@@ -9,13 +9,16 @@ and turned into member tuples a chunk at a time, each distinct high half of
 the listing and each distinct low half of a chunk once, one tuple join per
 mask.  A mask becomes its members one byte at a time; one wider than 64 bits
 is read once with to_bytes, so its decoding time is linear in its width.
+Listings that are kept for reuse go in a ``_priced_cache``, which prices each
+entry in bits and holds at most ENUMERATION_GUARD bits, the bound of one
+listing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import compress
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -40,6 +43,50 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
+
+
+# Mask bits (masks times N) that one listing may build, and that the listings
+# cached by ``_priced_cache`` may hold in all.
+ENUMERATION_GUARD = 1 << 25
+
+
+def _priced_cache(price):
+    """Decorator: a cache of a function's results by its arguments whose
+    entries, priced at ``price(result, *args)`` bits each, hold at most
+    ENUMERATION_GUARD bits in all; the least recently used go first, and a
+    result priced past the bound on its own is not kept.  Entries are shared,
+    so they must be immutable or read-only.  ``cache_bits()`` gives the held
+    total and ``cache_clear()`` empties the cache."""
+
+    def decorate(fn):
+        entries: dict = {}  # arguments -> (result, bits), least recent first
+        held = 0
+
+        @wraps(fn)
+        def cached(*args):
+            nonlocal held
+            entry = entries.pop(args, None)
+            if entry is None:
+                result = fn(*args)
+                entry = result, price(result, *args)
+                if entry[1] > ENUMERATION_GUARD:
+                    return result
+                held += entry[1]
+                while held > ENUMERATION_GUARD:
+                    held -= entries.pop(next(iter(entries)))[1]
+            entries[args] = entry
+            return entry[0]
+
+        def cache_clear():
+            nonlocal held
+            entries.clear()
+            held = 0
+
+        cached.cache_bits = lambda: held
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
 
 
 # The largest trial divisor factorize may test, with no override: n is
@@ -278,47 +325,51 @@ def _lex_ranks(modulus: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _index_sets(
-    modulus: int, masks: np.ndarray | list[int] | set[int]
+    modulus: int, masks: np.ndarray | list[int] | tuple[int, ...] | set[int]
 ) -> Iterator[IndexSet]:
     """The masks as index sets, in lexicographic order of sorted members.
 
-    ``masks`` is a list, a set or an array; the arrays of the oracle and of
-    ``digit_tables.solution_masks`` pass as they are.  Up to 62 bits, more
-    than _TUPLE_SORT_MAX masks go into an int64 array, unless they are one
-    already, and are ordered by ``_lex_ranks`` with one argsort.  Each mask
-    is split at bit h = ceil(modulus / 2); each distinct low half of a
-    _YIELD_CHUNK of ordered masks, and each distinct high half of the
-    listing, kept across chunks, becomes a member tuple once, and a mask's
-    members are its low tuple plus its high tuple.  Wider or fewer masks
-    sort their member tuples.  Each ``IndexSet`` is built only when the
-    caller asks for the next one.  Raises ValueError, before yielding, when
-    a mask has bits outside [0, modulus).  Only the int64 route loads numpy.
+    ``masks`` is a list, a tuple, a set or an array; the arrays of the oracle
+    and the tuples and arrays of ``digit_tables.solution_masks`` pass as they
+    are, and none is written to.  Up to 62 bits, more than _TUPLE_SORT_MAX
+    masks go into an int64 array, unless they are one already, and are
+    ordered by ``_lex_ranks`` with one argsort.  Each mask is split at bit
+    h = ceil(modulus / 2); each distinct low half of a _YIELD_CHUNK of
+    ordered masks, and each distinct high half of the listing, kept across
+    chunks, becomes a member tuple once, and a mask's members are its low
+    tuple plus its high tuple.  Wider or fewer masks sort their member
+    tuples.  Each ``IndexSet`` is built only when the caller asks for the
+    next one.  Raises ValueError, before yielding, when a mask has bits
+    outside [0, modulus).  Only the int64 route loads numpy.
     """
     if not len(masks):
         return
-    is_array = not isinstance(masks, (list, set))
+    is_array = not isinstance(masks, (list, tuple, set))
     lo, hi = (masks.min(), masks.max()) if is_array else (min(masks), max(masks))
     if lo < 0 or int(hi) >> modulus:
         raise ValueError(f"masks have bits outside [0, {modulus})")
     tables = _byte_tables(modulus)
+    new, set_modulus, set_members = object.__new__, _set_modulus, _set_members
     if modulus > 62 or len(masks) <= _TUPLE_SORT_MAX:
         # Python ints: a byte lookup on a numpy scalar is slower
         masks = masks.tolist() if is_array else masks
         decode = _decoder(tables)
         for members in sorted(decode(mask, tables) for mask in masks):
-            yield IndexSet._unchecked(modulus, members)
+            s = new(IndexSet)
+            set_modulus(s, modulus)
+            set_members(s, members)
+            yield s
         return
     import numpy as np
 
     if not is_array:
-        # rebinding drops this frame's reference to the input list
+        # rebinding drops this frame's reference to the input sequence
         masks = np.fromiter(masks, np.int64, len(masks))
     masks = masks[np.argsort(_lex_ranks(modulus, masks))]
     h = (modulus + 1) // 2
     # member order scatters the high halves over every chunk, so each is
     # decoded once per listing and kept; the low halves come in runs
     decoded: dict[int, tuple[int, ...]] = {}
-    new, set_modulus, set_members = object.__new__, _set_modulus, _set_members
     for start in range(0, len(masks), _YIELD_CHUNK):
         chunk = masks[start : start + _YIELD_CHUNK]
         lows, low_ids = np.unique(chunk & ((1 << h) - 1), return_inverse=True)
@@ -400,10 +451,8 @@ def bracelet(s: IndexSet) -> frozenset[IndexSet]:
     """Orbit of s under all translations and the reversal map.
 
     The orbit holds up to 2N sets, which are priced at N bits each against
-    the digit tables' ENUMERATION_GUARD: GuardExceededError before any work
-    past it, from N = 4097 on."""
-    from .digit_tables import ENUMERATION_GUARD
-
+    ENUMERATION_GUARD: GuardExceededError before any work past it, from
+    N = 4097 on."""
     N = s.modulus
     if 2 * N * N > ENUMERATION_GUARD:
         raise GuardExceededError(

@@ -351,6 +351,8 @@ def test_array_joins_equal_list_joins(monkeypatch):
             flat = [m for masks in expected.values() for m in masks]
             for cut in (0, 37, default):
                 monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", cut)
+                # the cached masks were joined at another cut
+                digit_tables._ascending_masks.cache_clear()
                 got = digit_tables._union_masks(ctx.p, ctx.M, cols, limit)
                 assert list(got) == list(expected), (N, mc, cut)
                 for size, masks in got.items():
@@ -365,16 +367,95 @@ def test_array_joins_equal_list_joins(monkeypatch):
                 elif N <= 62 and cut == 0:
                     assert all(masks == [size] for size, masks in got.items()), (N, mc)
                 masks = solution_masks(ctx, mc, cap)
-                assert list(map(int, masks)) == flat, (N, mc, cut)
+                assert list(map(int, masks)) == sorted(flat), (N, mc, cut)
                 assert isinstance(masks, np.ndarray) == made, (N, mc, cut)
     # the listing past the cut, at the moduli where the arrays are largest
     for N, mc in ((16, ()), (25, ()), (25, (1,)), (27, ()), (27, (2,)), (64, ()), (81, (3,))):
         ctx, pivots = ModulusContext.of(N), PivotSet.of(mc)
         cap = None if N == 16 else 3 if N > 62 else 6
         monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", default)
+        digit_tables._ascending_masks.cache_clear()
         got = [J.members for J in enumerate_solutions(ctx, pivots, cap)]
         monkeypatch.setattr(digit_tables, "_ARRAY_JOIN_MIN", digit_tables.ENUMERATION_GUARD)
+        digit_tables._ascending_masks.cache_clear()
         assert got == [J.members for J in enumerate_solutions(ctx, pivots, cap)], (N, mc)
+    digit_tables._ascending_masks.cache_clear()
+
+
+def _fresh_masks(ctx, mc, cap):
+    """A freshly built, sorted flattening of ``_union_masks``, as Python ints."""
+    cols = mc_star(ctx.M, mc).columns
+    by_size = digit_tables._union_masks(ctx.p, ctx.M, cols, ctx.N if cap is None else cap)
+    return sorted(int(m) for masks in by_size.values() for m in masks)
+
+
+def test_cached_masks_are_the_sorted_union_masks():
+    # the criterion-2 grid, and two listings past 62 bits, which are tuples
+    grid = [(N, None) for N in (4, 8, 9, 16)] + [(25, 6), (27, 6)]
+    cases = [(N, mc, cap) for N, cap in grid for mc in _pivot_sets(ModulusContext.of(N).M)]
+    cases += [(64, PivotSet.of(()), 3), (81, PivotSet.of((3,)), 3)]
+    digit_tables._ascending_masks.cache_clear()
+    kinds = set()
+    for N, mc, cap in cases:
+        ctx = ModulusContext.of(N)
+        masks = solution_masks(ctx, mc, cap)
+        assert list(map(int, masks)) == _fresh_masks(ctx, mc, cap), (N, mc, cap)
+        if isinstance(masks, np.ndarray):
+            assert masks.dtype == np.int64 and not masks.flags.writeable, (N, mc)
+        else:
+            assert type(masks) is tuple and all(type(m) is int for m in masks), (N, mc)
+        kinds.add((N > 62, type(masks)))
+        # a repeat, and a cap past N, share the entry
+        assert solution_masks(ctx, mc, cap) is masks
+        assert cap is not None or solution_masks(ctx, mc, N + 1) is masks
+    assert kinds == {(False, tuple), (False, np.ndarray), (True, tuple)}
+
+
+def test_cached_array_refuses_writes():
+    masks = solution_masks(ModulusContext.of(16), PivotSet.of(()))
+    assert isinstance(masks, np.ndarray)
+    with pytest.raises(ValueError):
+        masks[0] = 1
+    with pytest.raises(ValueError):
+        masks.sort()
+
+
+def test_refused_listing_leaves_the_cache_as_it_was():
+    solution_masks(ModulusContext.of(8), PivotSet.of(()))
+    held = digit_tables._ascending_masks.cache_bits()
+    assert held > 0
+    for _ in range(2):
+        with pytest.raises(GuardExceededError):
+            solution_masks(ModulusContext.of(32), PivotSet.of(()))
+        assert digit_tables._ascending_masks.cache_bits() == held
+
+
+def test_cache_evicts_the_least_recently_used_listings():
+    # about 34.1 Mbit in all, past the 2^25-bit bound by the last listing
+    keys = [
+        (27, (), 6), (32, (), 5), (25, (), 6), (64, (), 3),
+        (27, (), 5), (81, (3,), 3), (32, (), 4), (16, (), None),
+    ]  # fmt: skip
+    cached = digit_tables._ascending_masks
+    cached.cache_clear()
+    built, held = {}, {}  # held: the entries a model LRU keeps, oldest first
+    for key in keys:
+        N, mc, cap = key
+        built[key] = held[key] = solution_masks(ModulusContext.of(N), PivotSet.of(mc), cap)
+        while sum(len(m) * k[0] for k, m in held.items()) > digit_tables.ENUMERATION_GUARD:
+            del held[next(iter(held))]
+        assert cached.cache_bits() == sum(len(m) * k[0] for k, m in held.items())
+        assert cached.cache_bits() <= digit_tables.ENUMERATION_GUARD
+    assert list(held) == keys[1:]
+    # oldest first, so each hit keeps the order: a kept entry comes back as it is
+    for (N, mc, cap), masks in held.items():
+        assert solution_masks(ModulusContext.of(N), PivotSet.of(mc), cap) is masks
+    again = solution_masks(ModulusContext.of(27), PivotSet.of(()), 6)
+    assert again is not built[keys[0]]
+    assert np.array_equal(again, built[keys[0]])
+    assert cached.cache_bits() <= digit_tables.ENUMERATION_GUARD
+    cached.cache_clear()
+    assert cached.cache_bits() == 0
 
 
 def singleton_multiset_check(ctx: ModulusContext, J: IndexSet, l: int) -> bool:

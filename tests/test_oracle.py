@@ -425,6 +425,9 @@ def test_guard_refuses_a_large_cap_at_once(monkeypatch):
     cases = (
         (14000, 13999, str(2**14000 - 1)),
         (14285, 14284, "more than 2^14284"),
+        # totals of 14,285 bits, the length of 10^4300, that still print
+        (14285, 7142, str(2**14284)),
+        (14285, 7143, str(2**14284 + comb(14285, 7143))),
         (20000, 19999, "more than 2^14284"),
         (10**6, 3, str(sum(comb(10**6, k) for k in range(4)))),
         (10**6, 10**6 - 1, "more than 2^14292"),
@@ -474,8 +477,8 @@ def test_compare_with_theorem_reports_differences(monkeypatch):
     assert all(m in true_masks for m in dropped)
     assert not any(m in true_masks for m in added)
     theorem_side = [m for m in true_masks if m not in dropped] + added
-    # the theorem side as a list, and as the int64 array of a listing past the cut
-    for masks in (theorem_side, np.array(theorem_side, dtype=np.int64)):
+    # the theorem side as a list, a tuple, and the int64 array of a listing past the cut
+    for masks in (theorem_side, tuple(theorem_side), np.array(theorem_side, dtype=np.int64)):
         monkeypatch.setattr(oracle, "solution_masks", lambda *args: masks)
         report = compare_with_theorem(ctx, mc)
         assert not report.passed

@@ -387,3 +387,38 @@ def test_tiles_matches_the_counts_reference():
                 K = IndexSet.of(N, rng.sample(range(N), d))
             assert tiles(J, K) == tiles_by_counts(J, K), (N, J.members, K.members)
             assert tiles(K, J) == tiles(J, K)
+
+
+def test_priced_cache_evicts_the_least_recently_used_past_its_bound():
+    calls = []
+
+    @zn_core._priced_cache(lambda result, key, bits: bits)
+    def build(key, bits):
+        calls.append(key)
+        return [key]
+
+    third = zn_core.ENUMERATION_GUARD // 3
+    for key in "abc":
+        build(key, third)
+    # a hit returns the kept result and makes it the most recent
+    assert build("a", third) == ["a"] and calls == list("abc")
+    build("d", third)
+    assert build.cache_bits() == 3 * third
+    for key in "acd":
+        build(key, third)
+    assert calls == list("abcd")
+    build("b", third)
+    assert calls == list("abcdb")
+    assert build.cache_bits() == 3 * third
+    # a result priced past the bound on its own is returned, not kept, and
+    # evicts nothing
+    for _ in range(2):
+        assert build("e", zn_core.ENUMERATION_GUARD + 1) == ["e"]
+    assert calls == list("abcdbee")
+    assert build.cache_bits() == 3 * third
+    build("c", third)
+    assert calls[-1] == "e"
+    build.cache_clear()
+    assert build.cache_bits() == 0
+    build("c", third)
+    assert calls[-1] == "c"
