@@ -362,7 +362,8 @@ def _ascending_masks(
         return tuple(sorted(itertools.chain.from_iterable(by_size.values())))
     import numpy as np
 
-    masks = np.sort(np.concatenate(list(by_size.values())))
+    masks = np.concatenate(list(by_size.values()))
+    masks.sort()
     masks.setflags(write=False)
     return masks
 

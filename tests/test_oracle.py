@@ -422,6 +422,7 @@ def test_guard_refuses_a_large_cap_at_once(monkeypatch):
     # the count stops once its total has more digits than Python prints, so
     # refusing takes no longer at a larger N; below that, the exact total
     monkeypatch.setattr(oracle, "_search", lambda *key: pytest.fail("searched"))
+    assert (10**oracle._PRINTABLE_DIGITS).bit_length() == oracle._UNPRINTABLE_BITS
     cases = (
         (14000, 13999, str(2**14000 - 1)),
         (14285, 14284, "more than 2^14284"),
