@@ -1,38 +1,39 @@
 """Independent ground truth: exhaustive subset search with exact zero tests.
 
-One search answers every query.  The subsets of Z_N with at most ``cap``
-members whose root sum vanishes at the least prescribed zero come from a meet
-in the middle (Horowitz and Sahni, J. ACM 21, 1974): a mask splits at a limb
-boundary near N/2, the masks of each half are built by doubling, and a low
-half joins a high half iff its root sum equals the high half's negated sum.
-That pass is cached per (N, cap, zero), so searches that share their least
-zero share it.  A root sum vanishes at n iff it vanishes at u*n for every unit
-u, as the field automorphism w -> w^u maps one to the other, so the rest is
-tested once per gcd class on its survivors: each other class that meets the
-zeros must vanish and, for an exact zero set, each class that meets the other
-indices must not.  A search with no zeros returns the table of every subset
-as it is.  A root sum at index n is the exact residue of
-sum_j x^(j*n mod N) modulo the N-th cyclotomic polynomial, added up from
-subset-sum tables over fixed-width limbs of the mask, cached per (N, n) and
-built for all limbs in one doubling, in int16 when a bound on every partial
-sum allows and in int64 otherwise.  Next to each table the cache entry holds
-its fingerprints: each residue's dot product with fixed odd pseudo-random
-weights, wrapped mod 2^64.  The fingerprint is linear, so a vanishing sum has
-fingerprint 0 and two halves that cancel have opposite fingerprints; the
-fingerprints rule pairs out, and the exact residues decide every pair and
-every mask they let through.  One reader, ``_limb_sum``, adds up the tables,
-and one match, ``_fingerprint_match``, pairs the fingerprints of two half
-tables, for this search and for the Fuglede class scan alike.  No structural
-theorem prunes the search: the step per gcd class uses only that
+A root sum vanishes at n iff it vanishes at u*n for every unit u, as the field
+automorphism w -> w^u maps one to the other, so the unit of work is a gcd
+class, named by its divisor d of N and tested at index d (0 for the class of
+N).  A zero set is read once, as the classes it meets; in exact mode each
+class it does not fill is forbidden too, so a class it splits is both, and
+nothing survives it.  One cached search per (N, classes, cap) answers every
+query; with no class it returns the table of every subset as it is.  The masks
+of at most ``cap`` members whose root sum vanishes on the first required class
+come from a meet in the middle (Horowitz and Sahni, J. ACM 21, 1974): a mask
+splits at a limb boundary near N/2, the masks of each half are built by
+doubling, and a low half joins a high half iff its root sum equals the high
+half's negated sum.  That pass is cached per (N, cap, class); every other
+class is tested on its survivors.  As w_N^d = w_m with m = N/d, the root sum at
+index d is the exact residue of sum_j x^(j mod m) modulo the m-th cyclotomic
+polynomial, added up from subset-sum tables over fixed-width limbs of the
+mask, cached per class and built for all limbs in one doubling, in int16 when
+a bound on every partial sum allows and in int64 otherwise.  Next to each
+table the cache entry holds its fingerprints: each residue's dot product with
+fixed odd pseudo-random weights, wrapped mod 2^64.  The fingerprint is linear,
+so a vanishing sum has fingerprint 0 and two halves that cancel have opposite
+fingerprints; the fingerprints rule pairs out, and the exact residues decide
+every pair and every mask they let through.  One reader, ``_limb_sum``, adds
+up the tables, and one match, ``_fingerprint_match``, pairs the fingerprints
+of two half tables, for this search and for the Fuglede class scan alike.  No
+structural theorem prunes the search: the step per gcd class uses only that
 automorphism, nothing from the digit tables, so results stay independent of
 the enumeration machinery they validate; the digit tables enter only
 ``compare_with_theorem``, as the side it checks, whose cached ascending masks
 (a read-only int64 array for a long listing up to 62 bits, else a tuple of
-Python ints) it compares with the search's as they are.  One
-guard, with no override, refuses before any work a search of more than
-SEARCH_GUARD subsets, as many as the full search at N = 24 tests;
-``compare_with_theorem`` checks it before it expands its divisors into
-indices.
+Python ints) it compares with the search's as they are.  One guard, with no
+override, refuses before any work a search of more than SEARCH_GUARD subsets,
+as many as the full search at N = 24 tests; a search that tests a class then
+checks ``cyclotomic.check_residue_guard(N)``, as tables of subfields would
+not.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .cyclotomic import power_residue_matrix
+from .cyclotomic import check_residue_guard, power_residue_matrix
 from .digit_tables import PivotSet, solution_masks
 from .errors import GuardExceededError, ModulusMismatchError
 from .zn_core import (
@@ -51,7 +52,8 @@ from .zn_core import (
     IndexSet,
     ModulusContext,
     _index_sets,
-    expand_zero_spec,
+    euler_phi,
+    proper_divisors,
 )
 
 SEARCH_GUARD = 1 << 24
@@ -73,18 +75,18 @@ def _fingerprint_weights(width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+def _limb_tables(N: int, d: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """(low bit, table, fingerprints) per limb of _LIMB mask bits: the exact
-    residue sums at index n of every subset of the limb's positions, and each
-    sum's dot product with _fingerprint_weights, wrapped mod 2^64; read-only,
-    since the cache shares them.
-
+    residue sums at index d, a divisor of N, of every subset of the limb's
+    positions, and each sum's dot product with _fingerprint_weights, wrapped
+    mod 2^64; read-only, since the cache shares them.  With m = N/d, position
+    j adds x^(j mod m) mod Phi_m: phi(m) columns, N over all the classes.
     All limbs are built at once: the residue rows, padded with zero rows to
     whole limbs, are doubled over the _LIMB bits in one (limbs, 2^_LIMB, phi)
     array, and the fingerprints of every limb are its rows' fingerprints
     summed by the bits of each table index, in one matmul.  Entries of the
     last limb past bit N - 1 are never read."""
-    rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
+    rows = power_residue_matrix(N // d)[np.arange(N) % (N // d)]
     # every partial sum is bounded by the column sums of |rows|
     dtype = np.int16 if np.abs(rows).sum(axis=0).max() < 1 << 15 else np.int64
     limbs = -(-N // _LIMB)
@@ -104,11 +106,11 @@ def _limb_tables(N: int, n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ..
 def _limb_sum(
     N: int, n: int, masks: np.ndarray, start: int, stop: int, *, exact: bool
 ) -> np.ndarray:
-    """Per mask, the exact residue sums at index n (``exact``) or their
-    fingerprints, added over the limbs at bits [start, stop) and read at the
-    mask's bits there; masks hold bit ``start`` at bit 0.  The one reader of
-    the limb tables, for ``_vanishes`` and the Fuglede class scan alike."""
-    limbs = [(lo, table if exact else fp) for lo, table, fp in _limb_tables(N, n)]
+    """Per mask, the exact residue sums (``exact``) or the fingerprints in the
+    table of n's class, gcd(n, N), whose flags are n's, added over the limbs at
+    bits [start, stop) at the mask's bits, which hold bit ``start`` at bit 0.
+    The one reader of the limb tables, for ``_vanishes`` and the class scan."""
+    limbs = [(lo, table if exact else fp) for lo, table, fp in _limb_tables(N, gcd(n, N))]
     shape, dtype = limbs[0][1].shape[1:], limbs[0][1].dtype
     total = np.zeros((len(masks),) + shape, dtype=dtype)
     for lo, part in limbs:
@@ -175,7 +177,8 @@ def _subset_masks(N: int, cap: int) -> np.ndarray:
     # int8 sizes suffice: a mask with 128 members comes after 2^127 others
     sizes = np.zeros(total, dtype=np.int8)
     built = min(total, 1)
-    for j in range(N):
+    # at cap 0 no mask grows
+    for j in range(N if cap else 0):
         grow = sizes[:built] < cap
         new = slice(built, built + np.count_nonzero(grow))
         np.bitwise_or(masks[:built][grow], 1 << j, out=masks[new])
@@ -189,7 +192,7 @@ def _subset_masks(N: int, cap: int) -> np.ndarray:
 def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
     """Ascending masks of the subsets with at most ``cap`` members whose root
     sum vanishes at index n; read-only, since the cache shares them.  Shared
-    by every search whose least prescribed zero is n.
+    by every search whose first required class is tested at n.
 
     A meet in the middle: a mask splits at a multiple of _LIMB near N/2, so
     ``_limb_sum`` reads each half as it is, and its sum vanishes iff the sum
@@ -252,36 +255,35 @@ def _vanishing(N: int, cap: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _search(N: int, zeros: tuple[int, ...], mode: str, cap: int) -> np.ndarray:
-    """Ascending masks of the subsets with at most ``cap`` members and the
-    prescribed zeros; read-only, since the cache shares them.
-
-    A sum of N-th roots vanishes at n iff it vanishes at u*n for every unit u,
-    since J(w^(u*n)) is the image of J(w^n) under the field automorphism
-    w -> w^u; so one index is tested per gcd class: its least prescribed
-    zero, else its divisor d (0 for the class of N).  The least zero comes
-    from ``_vanishing``; each other class that meets the zeros is tested on
-    its survivors, and in exact mode each class that meets the other indices
-    must not vanish.  A class that a prescribed set splits is both, so
-    nothing survives it."""
-    tested = {gcd(n, N): n for n in sorted(zeros, reverse=True)}
-    required = sorted(tested.values())
-    masks = _vanishing(N, cap, required.pop(0)) if required else _subset_masks(N, cap)
-    for n in required:
-        masks = masks[_vanishes(N, masks, n)]
-    if mode == "exact-zero-set":
-        forbidden = {gcd(n, N) for n in set(range(N)).difference(zeros)}
-        for d in sorted(forbidden):
-            masks = masks[~_vanishes(N, masks, tested.get(d, d % N))]
+def _search(N: int, required: tuple, forbidden: tuple, cap: int) -> np.ndarray:
+    """Ascending masks of the subsets with at most ``cap`` members whose root
+    sum vanishes on every ``required`` gcd class and on no ``forbidden`` one;
+    read-only, since the cache shares them.  Each class is tested at its
+    divisor d of N, with 0 for the class of N: the first required one by
+    ``_vanishing``, each other one on the survivors."""
+    masks = _vanishing(N, cap, required[0]) if required else _subset_masks(N, cap)
+    for d in required[1:]:
+        masks = masks[_vanishes(N, masks, d)]
+    for d in forbidden:
+        masks = masks[~_vanishes(N, masks, d)]
     masks.setflags(write=False)
     return masks
 
 
 def _solution_masks(N, zeros, mode, max_cardinality) -> np.ndarray:
-    """The cached search, once the guard has passed; it runs before any work."""
+    """The cached search for the distinct residues ``zeros``, read once as the
+    gcd classes they meet, once the guards have passed; in exact mode each
+    class they do not fill is forbidden too, so one they split is both."""
     if mode not in ("vanish-at-least", "exact-zero-set"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _search(N, tuple(zeros), mode, _search_cap(N, max_cardinality))
+    cap = _search_cap(N, max_cardinality)
+    exact = mode == "exact-zero-set"
+    if zeros or exact:
+        check_residue_guard(N)
+    met = [gcd(n, N) % N for n in zeros]
+    classes = (N, *proper_divisors(N)) if exact else ()
+    forbidden = tuple(d % N for d in classes if met.count(d % N) < euler_phi(N // d))
+    return _search(N, tuple(sorted(set(met))), forbidden, cap)
 
 
 def _search_cap(N: int, max_cardinality: int | None) -> int:
@@ -359,12 +361,14 @@ def compare_with_theorem(
 ) -> ComparisonReport:
     """Symmetric difference between the brute-force solution set and the
     digit-table enumeration, over subsets up to the cardinality cap.  The
-    search guard is checked before the zero spec is expanded into indices."""
+    search gets the divisors of the zero spec as they are, once the search
+    guard and, for a nonempty spec, the residue guard have passed."""
     cap = ctx.N if max_cardinality is None else max_cardinality
     spec = DivisorSpec.of(ctx.N, (ctx.p**l for l in mc))
     search_cap = _search_cap(ctx.N, cap)
-    zeros = expand_zero_spec(spec)
-    oracle_side = _search(ctx.N, zeros.members, "vanish-at-least", search_cap)
+    if spec.divisors:
+        check_residue_guard(ctx.N)
+    oracle_side = _search(ctx.N, spec.divisors, (), search_cap)
     theorem_side = solution_masks(ctx, mc, cap)
     # both sides ascending; a tuple compares as Python ints, with no array
     # made of it, and only a difference becomes index sets

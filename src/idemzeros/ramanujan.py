@@ -87,13 +87,6 @@ def ramanujan_mobius(q: int, k: int) -> int:
     return total
 
 
-def mobius(n: int) -> int:
-    fact = factorize(n)
-    if any(e > 1 for _, e in fact):
-        return 0
-    return -1 if len(fact) % 2 else 1
-
-
 def gcd_class_exponential_sum(q: int, d: int, k: int) -> int:
     """Sum of w_q^{nk} over n in Z_q with gcd(n, q) = d; equals c_{q/d}(k)."""
     _check_q(q)

@@ -8,7 +8,8 @@ which load numpy when they first run: they are put in order with one argsort
 and turned into member tuples a chunk at a time, each distinct high half of
 the listing and each distinct low half of a chunk once, one tuple join per
 mask.  A mask becomes its members one byte at a time; one wider than 64 bits
-is read once with to_bytes, so its decoding time is linear in its width.
+is read once with to_bytes, so its decoding time is linear in its width, and
+only the tables of its nonzero bytes are built.
 Listings that are kept for reuse go in a ``_priced_cache``, which prices each
 entry in bits and holds at most ENUMERATION_GUARD bits, the bound of one
 listing.
@@ -167,6 +168,11 @@ class ModulusContext:
 
 _ByteTable = tuple[tuple[int, ...], ...]
 
+# Up to this many bytes, one 64-bit word, shifting a mask a byte at a time
+# beats reading it with to_bytes: 0.2 against 0.6 us at 16 bits, even at 64,
+# and 5-40 times slower from 1,000 bits on, as each shift copies the mask.
+_SHIFT_BYTES_MAX = 8
+
 
 @lru_cache(maxsize=None)
 def _byte_table(k: int) -> _ByteTable:
@@ -180,8 +186,9 @@ def _byte_table(k: int) -> _ByteTable:
 
 @lru_cache(maxsize=None)
 def _byte_tables(modulus: int) -> tuple[_ByteTable, ...]:
-    """The byte tables that cover a mask with bits in [0, modulus)."""
-    return tuple(_byte_table(k) for k in range((modulus + 7) // 8))
+    """The byte tables that cover a mask with bits in [0, modulus), up to the
+    _SHIFT_BYTES_MAX of a narrow mask; a wide one reads ``_byte_table``."""
+    return tuple(_byte_table(k) for k in range(min((modulus + 7) // 8, _SHIFT_BYTES_MAX)))
 
 
 def _mask_members(mask: int, tables: tuple[_ByteTable, ...]) -> tuple[int, ...]:
@@ -198,24 +205,18 @@ def _mask_members(mask: int, tables: tuple[_ByteTable, ...]) -> tuple[int, ...]:
 
 def _wide_mask_members(mask: int, tables: tuple[_ByteTable, ...]) -> tuple[int, ...]:
     """``_mask_members`` with the mask read once with to_bytes, not shifted
-    once per byte, and only its nonzero bytes looked up: time linear in the
-    mask's width."""
+    once per byte, and only its nonzero bytes' tables built and looked up,
+    whatever ``tables`` holds: time linear in the mask's width."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     members = []
     for k in compress(range(len(data)), data):
-        members += tables[k][data[k]]
+        members += _byte_table(k)[data[k]]
     return tuple(members)
 
 
-# Up to this many bytes, one 64-bit word, shifting a mask a byte at a time
-# beats reading it with to_bytes: 0.2 against 0.6 us at 16 bits, even at 64,
-# and 5-40 times slower from 1,000 bits on, as each shift copies the mask.
-_SHIFT_BYTES_MAX = 8
-
-
-def _decoder(tables: tuple[_ByteTable, ...]):
-    """The member decoder for masks that ``tables`` covers."""
-    return _mask_members if len(tables) <= _SHIFT_BYTES_MAX else _wide_mask_members
+def _decoder(modulus: int):
+    """The member decoder for masks with bits in [0, modulus)."""
+    return _mask_members if modulus <= 8 * _SHIFT_BYTES_MAX else _wide_mask_members
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -259,7 +260,7 @@ class IndexSet:
         if mask < 0 or mask >> modulus:
             raise ValueError(f"mask {mask} has bits outside [0, {modulus})")
         tables = _byte_tables(modulus)
-        return cls._unchecked(modulus, _decoder(tables)(mask, tables))
+        return cls._unchecked(modulus, _decoder(modulus)(mask, tables))
 
     @property
     def mask(self) -> int:
@@ -353,7 +354,7 @@ def _index_sets(
     if modulus > 62 or len(masks) <= _TUPLE_SORT_MAX:
         # Python ints: a byte lookup on a numpy scalar is slower
         masks = masks.tolist() if is_array else masks
-        decode = _decoder(tables)
+        decode = _decoder(modulus)
         for members in sorted(decode(mask, tables) for mask in masks):
             s = new(IndexSet)
             set_modulus(s, modulus)

@@ -115,7 +115,7 @@ def test_narrow_sums_with_larger_cyclotomic_coefficients():
 
 def dense_vanishes(N, masks, n):
     """Reference: every mask's exact residue sum, gathered and added in full."""
-    limbs = oracle._limb_tables(N, n)
+    limbs = oracle._limb_tables(N, gcd(n, N))
     flags = np.empty(len(masks), dtype=bool)
     for start in range(0, len(masks), 1 << 16):
         chunk = masks[start : start + (1 << 16)]
@@ -191,11 +191,11 @@ def test_search_shares_first_zero_filter():
                 oracle._vanishing.cache_clear()
                 oracle._subset_masks.cache_clear()
                 for zeros in order:
-                    got = oracle._search(N, zeros, mode, cap)
+                    got = oracle._solution_masks(N, zeros, mode, cap)
                     assert not got.flags.writeable
                     assert np.array_equal(got, expected[zeros]), (N, zeros, mode)
-                # one meet-in-the-middle pass per least zero, over half tables
-                # that every pass shares
+                # one meet-in-the-middle pass per first class, the least zero's,
+                # over half tables that every pass shares
                 assert oracle._vanishing.cache_info().currsize == len(least)
                 assert oracle._vanishing.cache_info().misses == len(least)
                 assert oracle._subset_masks.cache_info().misses == tables
@@ -236,11 +236,11 @@ def test_search_matches_the_per_index_filter_on_any_zero_set():
         for zeros in sorted(zero_sets):
             closure = gcd_closure(N, zeros)
             for mode in ("vanish-at-least", "exact-zero-set"):
-                got = oracle._search(N, zeros, mode, cap)
+                got = oracle._solution_masks(N, zeros, mode, cap)
                 assert np.array_equal(got, unshared(N, zeros, mode, cap)), (N, zeros, mode)
                 if mode == "vanish-at-least":
                     # vanishing at one index of a class is vanishing on all of it
-                    expected = oracle._search(N, closure, mode, cap)
+                    expected = oracle._solution_masks(N, closure, mode, cap)
                     assert np.array_equal(got, expected), (N, zeros)
                 elif zeros != closure:
                     # a split class is required and forbidden at once
@@ -248,6 +248,28 @@ def test_search_matches_the_per_index_filter_on_any_zero_set():
                 else:
                     nonempty += len(got) > 0
     assert nonempty >= 10
+
+
+def test_zero_sets_that_meet_the_same_classes_share_one_search():
+    # a zero set is read as the classes it meets, and in exact mode as the
+    # classes it does not fill as well, so these pairs are one search each
+    N, cap = 12, 12
+    pairs = [
+        ((1,), (5, 7, 11), "vanish-at-least"),
+        ((0, 2, 4), (0, 8, 10), "vanish-at-least"),
+        ((1, 4), (5, 7, 8), "exact-zero-set"),
+        ((3, 6), (6, 9), "exact-zero-set"),
+    ]
+    for a, b, mode in pairs:
+        first = oracle._solution_masks(N, a, mode, cap)
+        assert oracle._solution_masks(N, b, mode, cap) is first, (a, b, mode)
+        assert np.array_equal(first, unshared(N, a, mode, cap)), (a, mode)
+        assert np.array_equal(first, unshared(N, b, mode, cap)), (b, mode)
+    assert len(oracle._solution_masks(N, (1,), "vanish-at-least", cap)) > 1
+    # (3, 9) fills the class of 3 and (3,) splits it: two exact searches
+    filled = oracle._solution_masks(N, (3, 9), "exact-zero-set", cap)
+    assert filled is not oracle._solution_masks(N, (3,), "exact-zero-set", cap)
+    assert np.array_equal(filled, unshared(N, (3, 9), "exact-zero-set", cap))
 
 
 def test_one_limb_table_per_tested_class():
@@ -264,7 +286,7 @@ def test_one_limb_table_per_tested_class():
         oracle._search.cache_clear()
         oracle._vanishing.cache_clear()
         oracle._limb_tables.cache_clear()
-        oracle._search(N, zeros, mode, 4)
+        oracle._solution_masks(N, zeros, mode, 4)
         assert 0 < oracle._limb_tables.cache_info().misses <= tables, (N, zeros, mode)
 
 
@@ -277,7 +299,7 @@ def test_zero_set_of_another_modulus_is_refused():
 
 
 def test_subset_table_built_once_per_modulus_and_cap():
-    # searches at one (N, cap) with different least zeros share one build of
+    # searches at one (N, cap) with different first classes share one build of
     # each half table, and the zero-less search, which returns the full table
     # itself, adds a third entry without evicting them
     N, cap = 27, 4
@@ -285,14 +307,15 @@ def test_subset_table_built_once_per_modulus_and_cap():
     oracle._vanishing.cache_clear()
     oracle._subset_masks.cache_clear()
     for zeros in ((1, 2), (3, 6), (9,), ()):
-        oracle._search(N, zeros, "vanish-at-least", cap)
+        oracle._solution_masks(N, zeros, "vanish-at-least", cap)
     assert oracle._vanishing.cache_info().currsize == 3
     assert oracle._subset_masks.cache_info().misses == 3
     table = oracle._subset_masks(N, cap)
-    assert oracle._search(N, (), "vanish-at-least", cap) is table
+    assert oracle._solution_masks(N, (), "vanish-at-least", cap) is table
     assert len(table) == sum(comb(N, k) for k in range(cap + 1))
-    # a new least zero reads the cached halves: 16 low positions, 11 high
-    oracle._search(N, (2,), "vanish-at-least", cap)
+    # a new first class, that of N at index 0, reads the cached halves: 16 low
+    # positions, 11 high
+    oracle._solution_masks(N, (0,), "vanish-at-least", cap)
     for bits in (16, 11):
         half = oracle._subset_masks(bits, cap)
         assert len(half) == sum(comb(bits, k) for k in range(cap + 1))
@@ -357,6 +380,36 @@ def test_refused_search_builds_no_half_table(monkeypatch, capsys):
         compare_with_theorem(ModulusContext.of(25), PivotSet.of([1]))
     assert cli.main(["oracle", "solve", "--N", "25", "--zeros", "5"]) == 1
     assert json.loads(capsys.readouterr().out)["code"] == "guard-exceeded"
+    # the residue guard refuses, also before any table is built, every search
+    # that tests a class at an N whose N-th power residues it refuses
+    residues = r"^\d+ \* phi\(\d+\) power-residue coefficients exceed the residue guard$"
+    with pytest.raises(GuardExceededError, match=residues):
+        brute_force_solutions(8192, IndexSet(8192, (4096,)), max_cardinality=1)
+    with pytest.raises(GuardExceededError, match=residues):
+        brute_force_solutions(10**6, IndexSet(10**6, ()), "exact-zero-set", 0)
+    with pytest.raises(GuardExceededError, match=residues):
+        compare_with_theorem(ModulusContext.of(8192), PivotSet.of([12]), 1)
+    assert cli.main(["oracle", "solve", "--N", "8192", "--max-size", "1", "--zeros", "4096"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "guard-exceeded",
+        "message": "8192 * phi(8192) power-residue coefficients exceed the residue guard",
+    }
+
+
+def test_cap_zero_listing_at_a_huge_modulus_builds_few_byte_tables(capsys):
+    # the one listed set is empty: no subset table loops over the N positions,
+    # and no byte table is built past the _SHIFT_BYTES_MAX that narrow masks use
+    for N, argv in (
+        (1 << 17, ["zeroset", "enumerate", "--N", str(1 << 17), "--max-size", "0"]),
+        (10**6, ["oracle", "solve", "--N", str(10**6), "--max-size", "0"]),
+    ):
+        zn_core._byte_table.cache_clear()
+        zn_core._byte_tables.cache_clear()
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 2, N
+        assert json.loads(capsys.readouterr().out) == {"N": N, "members": []}
+        assert zn_core._byte_table.cache_info().currsize <= 8, N
 
 
 def subset_sums(rows: np.ndarray) -> np.ndarray:
@@ -371,18 +424,48 @@ def test_limb_tables_match_per_limb_subset_sums():
     # every limb's table and fingerprints equal those of its own doubling,
     # over the entries a mask below 2^N reaches, also in a partial last limb
     for N in range(1, 41):
-        divisor = next((d for d in range(2, N) if N % d == 0), 0)
-        for n in {0, 1, divisor, N - 1}:
-            rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
+        for d in (*zn_core.proper_divisors(N), N):
+            rows = power_residue_matrix(N // d)[np.arange(N) % (N // d)]
             weights = oracle._fingerprint_weights(rows.shape[1])
-            limbs = oracle._limb_tables(N, n)
+            limbs = oracle._limb_tables(N, d)
             assert [lo for lo, _, _ in limbs] == list(range(0, N, 8))
             for lo, table, fingerprints in limbs:
                 expected = subset_sums(rows[lo : lo + 8])
                 reach = len(expected)
                 assert not table.flags.writeable and not fingerprints.flags.writeable
-                assert np.array_equal(table[:reach], expected), (N, n, lo)
-                assert np.array_equal(fingerprints[:reach], expected @ weights), (N, n, lo)
+                assert np.array_equal(table[:reach], expected), (N, d, lo)
+                assert np.array_equal(fingerprints[:reach], expected @ weights), (N, d, lo)
+
+
+def test_limb_tables_hold_one_column_per_degree_of_the_class_subfield():
+    # the table of the class of d has phi(N/d) columns, and the tables of all
+    # the classes of N, N's own included, hold N columns in all
+    for N in (1, 2, 12, 16, 27, 30, 64, 100):
+        divisors = (*zn_core.proper_divisors(N), N)
+        widths = [oracle._limb_tables(N, d)[0][1].shape[1] for d in divisors]
+        assert widths == [zn_core.euler_phi(N // d) for d in divisors], N
+        assert sum(widths) == N
+
+
+def full_degree_vanishes(N, masks, n):
+    """Reference: every mask's residue sum at index n from the rows of
+    power_residue_matrix(N), phi(N) columns, summed per limb of 8 bits."""
+    rows = power_residue_matrix(N)[(np.arange(N) * n) % N]
+    sums = sum(
+        subset_sums(rows[lo : lo + 8])[(masks >> lo & 255).astype(np.intp)]
+        for lo in range(0, N, 8)
+    )
+    return ~sums.any(axis=1)
+
+
+def test_subfield_flags_equal_the_full_degree_flags():
+    # the tables of the class subfields give the flags of the N-th residues,
+    # on every subset at N <= 16 and at N = 63 and 100 up to 2 members
+    cases = [(N, oracle._subset_masks(N, N)) for N in range(1, 17)]
+    for N, masks in cases + [(N, oracle._subset_masks(N, 2)) for N in (63, 100)]:
+        for n in range(N):
+            got = oracle._vanishes(N, masks, n)
+            assert np.array_equal(got, full_degree_vanishes(N, masks, n)), (N, n)
 
 
 def test_guard_raises():

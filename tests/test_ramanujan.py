@@ -10,7 +10,6 @@ from idemzeros.ramanujan import (
     annihilation_check,
     euler_phi,
     gcd_class_exponential_sum,
-    mobius,
     ramanujan_direct,
     ramanujan_mobius,
     ramanujan_prime_power,
@@ -80,10 +79,6 @@ def test_even_and_periodic():
         for k in range(-2 * q, 2 * q + 1):
             assert ramanujan_direct(q, k) == ramanujan_direct(q, -k)
             assert ramanujan_direct(q, k) == ramanujan_direct(q, k + q)
-
-
-def test_mobius_squarefree():
-    assert [mobius(n) for n in (1, 2, 3, 4, 6, 30)] == [1, -1, -1, 0, 1, -1]
 
 
 def test_annihilation_on_enumerated_solutions():
